@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -527,11 +528,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
-    code, lines, payload = HANDLERS[args.command](args, rng)
-    sys.stdout.write("\n".join(lines) + "\n")
+    # Open the report before any work, so an unwritable path is a usage error.
+    report = contextlib.nullcontext()
     if args.json_path is not None:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
+        try:
+            report = open(args.json_path, "w", encoding="utf-8")
+        except OSError as err:
+            parser.exit(2, f"f4poly: cannot write {args.json_path}: {err.strerror or err}\n")
+    with report:
+        code, lines, payload = HANDLERS[args.command](args, rng)
+        sys.stdout.write("\n".join(lines) + "\n")
+        if args.json_path is not None:
+            report.write(json.dumps(payload, indent=2) + "\n")
     return code
 
 

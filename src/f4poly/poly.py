@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 NVARS = 26
@@ -50,6 +51,7 @@ VARIABLE_WEIGHTS: Tuple[Weight, ...] = (
 # Variable pairing of the dual involution: position j maps to _DUAL_POS[j]
 # (0-based); the two central variables are fixed but change sign.
 _DUAL_POS: Tuple[int, ...] = tuple(j if j in (12, 13) else 25 - j for j in range(NVARS))
+_DUAL_SIGN: Tuple[int, ...] = tuple(-1 if j in (12, 13) else 1 for j in range(NVARS))
 
 
 def _as_coeff(value: Coeff) -> Coeff:
@@ -266,122 +268,109 @@ def dual(poly: Polynomial) -> Polynomial:
 
 
 class Derivation:
-    """First-order differential operator: a polynomial coefficient per variable."""
+    """Linear first-order operator: the sum of c * x_(i+1) * d/dx_(j+1) over the
+    nonzero cells (i, j) of a 26x26 matrix.
 
-    __slots__ = ("parts",)
+    ``columns`` holds the sparse columns of that matrix, 0-based, as
+    ``((j, ((i, c), ...)), ...)`` with j and i increasing and no zero entries.
+    Every coefficient is linear in the variables by construction, and the
+    storage is nested tuples, so an operator (a cached one included) cannot be
+    changed after it is built.
+    """
 
-    def __init__(self, parts: Mapping[int, Polynomial] | None = None) -> None:
-        clean: Dict[int, Polynomial] = {}
-        if parts:
-            for var, poly in parts.items():
-                if not 1 <= var <= NVARS:
-                    raise ValueError(f"variable index must be in 1..{NVARS}, got {var}")
-                if poly.terms:
-                    clean[var] = poly
-        self.parts = clean
+    __slots__ = ("columns",)
 
-    @classmethod
-    def zero(cls) -> "Derivation":
-        return cls()
+    def __init__(self, cells: Iterable[Tuple[int, int, Coeff]] = ()) -> None:
+        """Operator with matrix cells (i, j, c), 0-based; repeated cells add up."""
+        acc: Dict[int, Dict[int, Coeff]] = {}
+        for i, j, c in cells:
+            if not (0 <= i < NVARS and 0 <= j < NVARS):
+                raise ValueError(f"matrix cell ({i}, {j}) is outside 0..{NVARS - 1}")
+            column = acc.setdefault(j, {})
+            column[i] = column.get(i, 0) + c
+        columns = []
+        for j in sorted(acc):
+            entries = tuple(sorted((i, c) for i, c in acc[j].items() if c))
+            if entries:
+                columns.append((j, entries))
+        object.__setattr__(self, "columns", tuple(columns))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Derivation is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Derivation is immutable")
 
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple[int, int, Coeff]]) -> "Derivation":
-        """Build sum of c * x_r * d/dx_s from (r, s, c) triples."""
-        acc: Dict[int, Polynomial] = {}
-        for r, s, c in terms:
-            piece = Polynomial.variable(r) * c
-            acc[s] = acc.get(s, Polynomial.zero()) + piece
-        return cls(acc)
+        """Build sum of c * x_r * d/dx_s from (r, s, c) triples (1-based)."""
+        return cls((r - 1, s - 1, c) for r, s, c in terms)
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[Coeff]]) -> "Derivation":
         """Linear operator with entries m[i][j]: x_(i+1) coefficient on d/dx_(j+1)."""
-        acc: Dict[int, Polynomial] = {}
-        for i, row in enumerate(matrix):
-            for j, value in enumerate(row):
-                if value:
-                    acc[j + 1] = acc.get(j + 1, Polynomial.zero()) + Polynomial.variable(i + 1) * value
-        return cls(acc)
+        return cls((i, j, value) for i, row in enumerate(matrix) for j, value in enumerate(row))
 
     def matrix(self) -> List[List[Coeff]]:
-        """26x26 matrix of a linear operator; raises if any part is not linear."""
+        """Dense 26x26 matrix m[i][j]: x_(i+1) coefficient on d/dx_(j+1)."""
         out = [[0] * NVARS for _ in range(NVARS)]
-        for var, poly in self.parts.items():
-            for exp, coeff in poly.terms.items():
-                if sum(exp) != 1:
-                    raise ValueError("operator is not linear in the variables")
-                out[exp.index(1)][var - 1] = coeff
+        for j, entries in self.columns:
+            for i, c in entries:
+                out[i][j] = c
         return out
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        total = Polynomial.zero()
-        for var, part in self.parts.items():
-            d = poly.partial(var)
-            if d.terms:
-                total = total + part * d
-        return total
+        """Act on each monomial: x^e -> sum of c * e[j] * x^(e - e_j + e_i)."""
+        out: Dict[Exponent, Coeff] = {}
+        for exp, coeff in poly.terms.items():
+            for j, entries in self.columns:
+                k = exp[j]
+                if not k:
+                    continue
+                scale = k * coeff
+                lowered = list(exp)
+                lowered[j] = k - 1
+                for i, c in entries:
+                    lowered[i] += 1
+                    key = tuple(lowered)
+                    lowered[i] -= 1
+                    new = out.get(key, 0) + c * scale
+                    if new:
+                        out[key] = new
+                    elif key in out:
+                        del out[key]
+        return Polynomial._raw(out)
 
     __call__ = apply
 
     def commutator(self, other: "Derivation") -> "Derivation":
-        acc: Dict[int, Polynomial] = {}
-        for var, part in other.parts.items():
-            piece = self.apply(part)
-            if piece.terms:
-                acc[var] = acc.get(var, Polynomial.zero()) + piece
-        for var, part in self.parts.items():
-            piece = other.apply(part)
-            if piece.terms:
-                acc[var] = acc.get(var, Polynomial.zero()) - piece
-        return Derivation(acc)
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        acc = dict(self.parts)
-        for var, part in other.parts.items():
-            acc[var] = acc.get(var, Polynomial.zero()) + part
-        return Derivation(acc)
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Derivation":
-        return Derivation({v: -p for v, p in self.parts.items()})
-
-    def __rmul__(self, scalar: Coeff) -> "Derivation":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            return Derivation.zero()
-        return Derivation({v: p * scalar for v, p in self.parts.items()})
+        """[self, other] = self o other - other o self: the matrix AB - BA."""
+        a, b = dict(self.columns), dict(other.columns)
+        cells: List[Tuple[int, int, Coeff]] = []
+        for sign, left, right in ((1, a, b), (-1, b, a)):
+            for j, entries in right.items():
+                for m, c in entries:
+                    cells.extend((i, j, sign * d * c) for i, d in left.get(m, ()))
+        return Derivation(cells)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
-        return self.parts == other.parts
+        return self.columns == other.columns
 
     def __repr__(self) -> str:
-        if not self.parts:
-            return "Derivation(0)"
-        pieces = [f"({self.parts[v]})*d{v}" for v in sorted(self.parts)]
-        return "Derivation(" + " + ".join(pieces) + ")"
+        pieces = [f"{c}*x{i + 1}*d{j + 1}" for j, entries in self.columns for i, c in entries]
+        return "Derivation(" + (" + ".join(pieces) or "0") + ")"
 
 
 def dual_op(op: Derivation) -> Derivation:
-    """Conjugate a derivation by the dual involution."""
-    acc: Dict[int, Polynomial] = {}
-    for var, part in op.parts.items():
-        image = dual(part)
-        if var in (13, 14):
-            new_var = var
-            image = -image
-        else:
-            new_var = 27 - var
-        acc[new_var] = acc.get(new_var, Polynomial.zero()) + image
-    return Derivation(acc)
+    """Conjugate a derivation by the dual involution: a signed relabelling of its
+    cells, (i, j, c) -> (pair(i), pair(j), sign(i) * sign(j) * c)."""
+    return Derivation(
+        (_DUAL_POS[i], _DUAL_POS[j], c * _DUAL_SIGN[i] * _DUAL_SIGN[j])
+        for j, entries in op.columns
+        for i, c in entries
+    )
 
 
 class WeightError(ValueError):
@@ -431,12 +420,14 @@ def monomials_of_degree(degree: int) -> Iterator[Exponent]:
 
 
 @lru_cache(maxsize=None)
-def degree_weight_table(degree: int) -> Dict[Weight, Tuple[Exponent, ...]]:
-    """Monomials of one degree grouped by weight, keys sorted descending."""
+def degree_weight_table(degree: int) -> Mapping[Weight, Tuple[Exponent, ...]]:
+    """Monomials of one degree grouped by weight, keys sorted descending.
+
+    The table is cached and shared, so it is returned read-only."""
     groups: Dict[Weight, List[Exponent]] = {}
     for exp in monomials_of_degree(degree):
         groups.setdefault(exponent_weight(exp), []).append(exp)
-    return {w: tuple(groups[w]) for w in sorted(groups, reverse=True)}
+    return MappingProxyType({w: tuple(groups[w]) for w in sorted(groups, reverse=True)})
 
 
 def weight_subspace_basis(degree: int, target: Weight) -> Tuple[Exponent, ...]:

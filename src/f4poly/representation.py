@@ -11,6 +11,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from . import algebra, linalg, poly
 from .algebra import F4Root
+from .dimensions import generator_exponents
 from .poly import Derivation, Polynomial
 
 Coeff = Union[int, Fraction]
@@ -371,14 +372,13 @@ def module_copy_equivariance_failures() -> List[Tuple[str, int]]:
         for sign in (1, -1):
             label = ("e", root, sign)
             op = operator(label)
-            matrix = op.matrix()
-            for s in range(1, 27):
+            columns = dict(op.columns)
+            for s in range(26):
                 expected = Polynomial.zero()
-                for r in range(26):
-                    if matrix[r][s - 1]:
-                        expected = expected + matrix[r][s - 1] * zetas[r]
-                if op(zetas[s - 1]) != expected:
-                    failures.append((label_string(label), s))
+                for r, c in columns.get(s, ()):
+                    expected = expected + c * zetas[r]
+                if op(zetas[s]) != expected:
+                    failures.append((label_string(label), s + 1))
     return failures
 
 
@@ -607,18 +607,6 @@ class SingularReport(NamedTuple):
         return sum(entry.dim for entry in self.entries)
 
 
-def predicted_exponents(degree: int) -> List[Tuple[int, int, int, int, int]]:
-    """Exponent tuples (m1..m5) of generator products with this total degree."""
-    out = []
-    for m5 in range(degree // 3 + 1):
-        for m4 in range((degree - 3 * m5) // 2 + 1):
-            for m3 in range((degree - 3 * m5 - 2 * m4) // 3 + 1):
-                for m2 in range((degree - 3 * m5 - 2 * m4 - 3 * m3) // 2 + 1):
-                    m1 = degree - 3 * m5 - 2 * m4 - 3 * m3 - 2 * m2
-                    out.append((m1, m2, m3, m4, m5))
-    return sorted(out, reverse=True)
-
-
 def predicted_weight(exponents: Sequence[int]) -> Tuple[int, int, int, int]:
     m1, m2, m3, m4, m5 = exponents
     return (0, 0, m3, m1 + m2)
@@ -626,7 +614,7 @@ def predicted_weight(exponents: Sequence[int]) -> Tuple[int, int, int, int]:
 
 def predicted_weight_counts(degree: int) -> Dict[Tuple[int, int, int, int], int]:
     counts: Dict[Tuple[int, int, int, int], int] = {}
-    for exps in predicted_exponents(degree):
+    for exps in generator_exponents(degree):
         w = predicted_weight(exps)
         counts[w] = counts.get(w, 0) + 1
     return counts
@@ -675,7 +663,7 @@ def singular_vectors(degree: int, verify_all_positive: bool = True) -> SingularR
                         )
             basis.append(f)
         entries.append(SingularEntry(w, len(basis), tuple(basis)))
-    return SingularReport(degree, len(predicted_exponents(degree)), tuple(entries))
+    return SingularReport(degree, len(generator_exponents(degree)), tuple(entries))
 
 
 def _poly_rows(polys: Sequence[Polynomial]) -> List[Dict[int, Coeff]]:
@@ -695,7 +683,7 @@ def polys_rank(polys: Sequence[Polynomial]) -> int:
 def products_span_kernels(report: SingularReport) -> bool:
     """Do the generator products of this degree span each kernel entry exactly?"""
     by_weight: Dict[Tuple[int, int, int, int], List[Polynomial]] = {}
-    for exps in predicted_exponents(report.degree):
+    for exps in generator_exponents(report.degree):
         by_weight.setdefault(predicted_weight(exps), []).append(generator_product(exps))
     weights_seen = {entry.weight for entry in report.entries}
     if set(by_weight) != weights_seen:
@@ -747,11 +735,11 @@ def apply_laplacian(f: Polynomial) -> Polynomial:
 
 
 def laplacian_commutator_symbol(op: Derivation) -> Dict[Tuple[int, int], Coeff]:
-    """Exact symbol of [Laplacian, op] for a linear operator; {} iff they commute.
+    """Exact symbol of [Laplacian, op]; {} iff they commute.
 
-    For linear coefficient polynomials the commutator is the second-order
-    operator sum over Laplacian terms c*d_a*d_b of c*(d_a p_s)*d_b*d_s +
-    c*(d_b p_s)*d_a*d_s, collected on unordered derivative pairs.
+    A cell k*x_r*d_s of op and a Laplacian term c*d_a*d_b contribute
+    c*k*d_b*d_s when a == r and c*k*d_a*d_s when b == r, collected on
+    unordered derivative pairs.
     """
     acc: Dict[Tuple[int, int], Coeff] = {}
 
@@ -763,11 +751,10 @@ def laplacian_commutator_symbol(op: Derivation) -> Dict[Tuple[int, int], Coeff]:
         elif key in acc:
             del acc[key]
 
-    for s, part in op.parts.items():
-        for exp, coeff in part.terms.items():
-            if sum(exp) != 1:
-                raise ValueError("symbol commutator requires a linear operator")
-            r = exp.index(1) + 1
+    for j, entries in op.columns:
+        s = j + 1
+        for i, coeff in entries:
+            r = i + 1
             for a, b, c in laplacian():
                 if a == r:
                     add(b, s, c * coeff)

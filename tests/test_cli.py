@@ -146,6 +146,7 @@ def test_usage_errors_exit_two():
         ["harmonic", "--degree", "1"],
         ["dim", "-1", "0"],
         ["verify", "nonsense"],
+        ["--json", "/nonexistent/x.json", "dim", "0", "1"],
     ):
         with pytest.raises(SystemExit) as info:
             cli.main(argv)

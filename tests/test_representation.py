@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from f4poly import algebra, poly, representation as rep
-from f4poly.poly import Polynomial
+import pytest
+
+from f4poly import algebra, dimensions, poly, representation as rep
+from f4poly.poly import Derivation, Polynomial
 
 X = Polynomial.variable
 A1, A2, A3, A4 = algebra.F4_SIMPLE
@@ -37,6 +39,19 @@ def test_operators_preserve_degree_and_cartans_are_diagonal():
             for s in range(26):
                 if r != s:
                     assert matrix[r][s] == 0
+
+
+def test_cached_operators_are_immutable():
+    op = rep.operator(("h", 1))
+    before = op.matrix()
+    assert before[3][3] == 1
+    with pytest.raises(TypeError):
+        op.columns[0] = (0, ())
+    with pytest.raises(AttributeError):
+        op.columns = ()
+    with pytest.raises(AttributeError):
+        del op.columns
+    assert rep.operator(("h", 1)).matrix() == before
 
 
 def test_errata_set_is_exactly_the_four_known_cells():
@@ -72,6 +87,8 @@ def test_lowering_operators_are_mirror_conjugates():
         raising = rep.operator(("e", root, 1))
         lowering = rep.operator(("e", root, -1))
         assert poly.dual_op(raising).matrix() == lowering.matrix()
+    for printed, root in zip(rep.LOWERING_SIMPLE_TERMS, algebra.F4_SIMPLE):
+        assert Derivation.from_terms(printed) == rep.transcribed_operator(("e", root, -1))
 
 
 def test_zeta_seed_and_recursion():
@@ -192,7 +209,7 @@ def test_singular_weights_match_generator_predictions():
 
 def test_generator_products_are_singular_through_degree_5():
     raising = rep.simple_raising()
-    for exps in rep.predicted_exponents(5) + rep.predicted_exponents(4):
+    for exps in dimensions.generator_exponents(5) + dimensions.generator_exponents(4):
         product = rep.generator_product(exps)
         for op in raising:
             assert op.apply(product).is_zero()
