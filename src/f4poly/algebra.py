@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from . import lattice, linalg
@@ -28,8 +29,9 @@ def labels() -> Tuple[Label, ...]:
 
 
 @lru_cache(maxsize=None)
-def label_index() -> Dict[Label, int]:
-    return {lab: i for i, lab in enumerate(labels())}
+def label_index() -> Mapping[Label, int]:
+    """Read-only map from basis label to its position in ``labels()``."""
+    return MappingProxyType({lab: i for i, lab in enumerate(labels())})
 
 
 class AlgebraElement:
@@ -141,8 +143,11 @@ class AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def structure_table() -> Tuple[Tuple[Dict[int, int], ...], ...]:
-    """Bracket of basis pairs as index-keyed sparse rows: T[i][j] = [b_i, b_j]."""
+def structure_table() -> Tuple[Tuple[Mapping[int, int], ...], ...]:
+    """Bracket of basis pairs as index-keyed sparse rows: T[i][j] = [b_i, b_j].
+
+    The table is cached and shared, so each cell is a read-only mapping.
+    """
     labs = labels()
     roots = lattice.all_roots()
     rset = lattice.root_set()
@@ -164,7 +169,8 @@ def structure_table() -> Tuple[Tuple[Dict[int, int], ...], ...]:
                 table[ia][ib] = {i: -alpha[i] for i in range(6) if alpha[i]}
             elif total in rset:
                 table[ia][ib] = {root_at[total]: lattice.cocycle(alpha, beta)}
-    return tuple(tuple(row) for row in table)
+    empty: Mapping[int, int] = MappingProxyType({})  # shared by the 4068 empty cells
+    return tuple(tuple(MappingProxyType(cell) if cell else empty for cell in row) for row in table)
 
 
 def bracket(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
@@ -237,7 +243,9 @@ def jacobi_failures(limit: int = 1) -> Tuple[Tuple[int, int, int], ...]:
     sweep strictly increasing triples: permuting a triple only permutes and
     negates the three summands.
     """
-    table = structure_table()
+    # Each cell as a tuple of (index, coefficient) pairs: the sweep reads
+    # every cell many times, and a tuple iterates faster than a read-only view.
+    table = [[tuple(cell.items()) for cell in row] for row in structure_table()]
     failures: List[Tuple[int, int, int]] = []
     for i in range(DIM):
         row_i = table[i]
@@ -246,16 +254,16 @@ def jacobi_failures(limit: int = 1) -> Tuple[Tuple[int, int, int], ...]:
             bracket_ij = row_i[j]
             for k in range(j + 1, DIM):
                 acc: Dict[int, int] = {}
-                for mid, c in row_j[k].items():
-                    for target, w in row_i[mid].items():
+                for mid, c in row_j[k]:
+                    for target, w in row_i[mid]:
                         acc[target] = acc.get(target, 0) + c * w
                 # [x_j, [x_k, x_i]] = -[x_j, [x_i, x_k]]
-                for mid, c in row_i[k].items():
-                    for target, w in row_j[mid].items():
+                for mid, c in row_i[k]:
+                    for target, w in row_j[mid]:
                         acc[target] = acc.get(target, 0) - c * w
                 row_k = table[k]
-                for mid, c in bracket_ij.items():
-                    for target, w in row_k[mid].items():
+                for mid, c in bracket_ij:
+                    for target, w in row_k[mid]:
                         acc[target] = acc.get(target, 0) + c * w
                 if any(acc.values()):
                     failures.append((i, j, k))
@@ -416,13 +424,13 @@ def v_basis(i: int) -> AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _module_root_index() -> Dict[Vector, Tuple[int, int]]:
-    """Map each involution-moved root to (module basis index, coefficient sign)."""
+def _module_root_index() -> Mapping[Vector, Tuple[int, int]]:
+    """Read-only map from each involution-moved root to (module basis index, sign)."""
     table: Dict[Vector, Tuple[int, int]] = {}
     for i in list(range(1, 13)) + list(range(15, 27)):
         for lab, coeff in v_basis(i).terms.items():
             table[lab[1]] = (i, coeff)
-    return table
+    return MappingProxyType(table)
 
 
 def decompose_v(element: AlgebraElement) -> List[Coeff]:

@@ -1,4 +1,5 @@
-"""Command-line entry point: verification suites, computations, and JSON export."""
+"""Command-line entry point: the verification suites of ``f4poly.checks``,
+computations, and JSON export."""
 
 from __future__ import annotations
 
@@ -10,11 +11,16 @@ import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import algebra, dimensions, lattice, poly, representation
+from . import algebra, checks, dimensions, lattice, poly, representation
 
 DEFAULT_SEED = 12345
 
-Check = Tuple[str, bool]
+# Input ceilings, refused at parsing (exit 2) before any work.  Memory of
+# ``singular`` follows the C(K+25, 25) monomials of degree K, about 218 MB at
+# K = 6; ``identity`` time grows about quadratically in N.  README gives the
+# measured cost at each ceiling.
+MAX_SINGULAR_DEGREE = 6
+MAX_IDENTITY_ORDER = 120
 Result = Tuple[int, List[str], object]
 
 
@@ -23,255 +29,28 @@ def _mark(ok: bool) -> str:
 
 
 # --------------------------------------------------------------------------
-# Verification suites (fixed order, deterministic output).
-# --------------------------------------------------------------------------
-
-
-def _lattice_checks(rng: random.Random) -> List[Check]:
-    roots = lattice.all_roots()
-    rset = lattice.root_set()
-    checks: List[Check] = [("root enumeration yields 72 vectors", len(roots) == 72)]
-    checks.append(
-        (
-            "reflection closure reproduces the root set",
-            set(lattice.roots_by_reflection_closure()) == rset,
-        )
-    )
-    checks.append(
-        (
-            "cocycle diagonal matches root norms on all roots",
-            all(lattice.cocycle(u, u) == (-1) ** (lattice.inner(u, u) // 2) for u in roots),
-        )
-    )
-    checks.append(
-        (
-            "cocycle commutator relation on all root pairs",
-            all(
-                lattice.cocycle(u, v) * lattice.cocycle(v, u) == (-1) ** lattice.inner(u, v)
-                for u in roots
-                for v in roots
-            ),
-        )
-    )
-    checks.append(
-        (
-            "cocycle unchanged by the diagram involution on all root pairs",
-            all(
-                lattice.cocycle(
-                    lattice.diagram_involution(u), lattice.diagram_involution(v)
-                )
-                == lattice.cocycle(u, v)
-                for u in roots
-                for v in roots
-            ),
-        )
-    )
-    bimult = True
-    for _ in range(400):
-        u = rng.choice(roots)
-        v = rng.choice(roots)
-        w = rng.choice(roots)
-        left_ok = lattice.cocycle(lattice.add(u, v), w) == lattice.cocycle(
-            u, w
-        ) * lattice.cocycle(v, w)
-        right_ok = lattice.cocycle(u, lattice.add(v, w)) == lattice.cocycle(
-            u, v
-        ) * lattice.cocycle(u, w)
-        bimult = bimult and left_ok and right_ok
-    checks.append(("cocycle bimultiplicative on seeded lattice triples", bimult))
-    checks.append(
-        (
-            "diagram involution is an isometric root permutation",
-            all(lattice.diagram_involution(u) in rset for u in roots)
-            and all(
-                lattice.inner(
-                    lattice.diagram_involution(u), lattice.diagram_involution(v)
-                )
-                == lattice.inner(u, v)
-                for u in roots
-                for v in roots
-            ),
-        )
-    )
-    return checks
-
-
-def _algebra_checks(rng: random.Random) -> List[Check]:
-    checks: List[Check] = [("basis has 78 elements", len(algebra.labels()) == 78)]
-    checks.append(
-        (
-            "bracket antisymmetry on all ordered basis pairs",
-            algebra.antisymmetry_failures() == 0,
-        )
-    )
-    checks.append(
-        (
-            "Jacobi identity on all 76076 unordered basis triples",
-            algebra.jacobi_failures() == (),
-        )
-    )
-    checks.append(
-        (
-            "diagram involution is a bracket automorphism",
-            algebra.involution_is_automorphism_failures() == [],
-        )
-    )
-    fixed, swapped = algebra.eigenspace_dimensions()
-    checks.append(("fixed subalgebra has dimension 52", fixed == 52))
-    checks.append(("negated eigenspace has dimension 26", swapped == 26))
-    return checks
-
-
-def _random_polynomial(rng: random.Random, degree: int, terms: int) -> poly.Polynomial:
-    total = poly.Polynomial.zero()
-    for _ in range(terms):
-        exp = [0] * 26
-        for _ in range(degree):
-            exp[rng.randrange(26)] += 1
-        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
-        total = total + poly.Polynomial.monomial(tuple(exp), coeff)
-    return total
-
-
-def _rep_checks(rng: random.Random) -> List[Check]:
-    labels = representation.operator_labels()
-    checks: List[Check] = [("operator table has 52 entries", len(labels) == 52)]
-    records = representation.validate_table()
-    cells = {(r["label"], r["row"], r["col"]) for r in records}
-    known = {
-        ("E+(0,1,1,0)", 3, 5),
-        ("E+(0,1,1,0)", 22, 24),
-        ("E-(0,1,1,0)", 5, 3),
-        ("E-(0,1,1,0)", 24, 22),
-    }
-    checks.append(
-        ("transcription deviates from the derived oracle in exactly four cells", cells == known)
-    )
-    comm_ok = True
-    for i, root in enumerate(algebra.F4_SIMPLE, start=1):
-        raising = representation.operator(("e", root, 1))
-        lowering = representation.operator(("e", root, -1))
-        comm = raising.commutator(lowering).matrix()
-        cartan = representation.operator(("h", i)).matrix()
-        comm_ok = comm_ok and comm == [[-entry for entry in row] for row in cartan]
-    checks.append(("simple pair commutators equal minus the Cartan operators", comm_ok))
-    leibniz_ok = True
-    for label in (labels[0], labels[11], labels[30]):
-        op = representation.operator(label)
-        for _ in range(2):
-            f = _random_polynomial(rng, 2, 3)
-            g = _random_polynomial(rng, 3, 3)
-            leibniz_ok = leibniz_ok and op(f * g) == op(f) * g + f * op(g)
-    checks.append(("product rule holds on seeded random polynomials", leibniz_ok))
-    return checks
-
-
-def _invariant_checks(rng: random.Random) -> List[Check]:
-    checks: List[Check] = []
-    checks.append(
-        (
-            "quadratic chain reproduces the recorded formulas",
-            all(
-                representation.zeta(r) == representation.zeta_printed(r)
-                for r in range(1, 15)
-            ),
-        )
-    )
-    checks.append(
-        (
-            "module copy intertwines all eight simple operators",
-            representation.module_copy_equivariance_failures() == [],
-        )
-    )
-    checks.append(
-        (
-            "cubic singular vector matches its recorded form",
-            representation.theta() == representation.theta_printed(),
-        )
-    )
-    ops = representation.root_operators()
-    eta1 = representation.eta1()
-    checks.append(
-        (
-            "quadratic invariant annihilated by all 48 root operators",
-            all(op(eta1).is_zero() for op in ops),
-        )
-    )
-    eta2 = representation.eta2()
-    checks.append(
-        (
-            "cubic invariant annihilated by all 48 root operators",
-            all(op(eta2).is_zero() for op in ops),
-        )
-    )
-    logged = {record["label"] for record in representation.formula_errata()}
-    checks.append(
-        (
-            "cubic invariant expansion deviations are logged errata",
-            eta2 == representation.eta2_printed() or "cubic invariant expansion" in logged,
-        )
-    )
-    elimination = representation.verify_elimination_identities()
-    checks.append(
-        (
-            "elimination identities hold exactly (allowing logged corrections)",
-            all(item.holds or item.holds_with_correction for item in elimination),
-        )
-    )
-    checks.append(
-        (
-            "second-order invariant operator commutes with all 52 operators",
-            all(
-                representation.laplacian_commutator_symbol(representation.operator(label))
-                == {}
-                for label in representation.operator_labels()
-            ),
-        )
-    )
-    checks.append(
-        (
-            "harmonic witnesses meet the summand bound for degrees two to five",
-            all(
-                representation.harmonic_summand_bound(degree)[0]
-                == representation.harmonic_summand_bound(degree)[1]
-                for degree in range(2, 6)
-            ),
-        )
-    )
-    return checks
-
-
-SUITES: Tuple[Tuple[str, Callable[[random.Random], List[Check]]], ...] = (
-    ("lattice", _lattice_checks),
-    ("algebra", _algebra_checks),
-    ("rep", _rep_checks),
-    ("invariants", _invariant_checks),
-)
-
-
-# --------------------------------------------------------------------------
 # Command handlers.  Each returns (exit code, text lines, JSON payload).
 # --------------------------------------------------------------------------
 
 
 def _cmd_verify(args: argparse.Namespace, rng: random.Random) -> Result:
-    wanted = [name for name, _ in SUITES] if args.target == "all" else [args.target]
+    wanted = [name for name, _ in checks.SUITES] if args.target == "all" else [args.target]
     lines: List[str] = []
     suite_reports = []
     all_ok = True
-    for name, build in SUITES:
+    for name, build in checks.SUITES:
         if name not in wanted:
             continue
-        checks = build(rng)
-        for check_name, ok in checks:
+        results = build(rng)
+        for check_name, ok in results:
             lines.append(f"{check_name}: {_mark(ok)}")
-        passed = sum(1 for _, ok in checks if ok)
-        suite_ok = passed == len(checks)
-        lines.append(f"suite {name}: {_mark(suite_ok)} ({passed}/{len(checks)} checks)")
+        passed = sum(1 for _, ok in results if ok)
+        suite_ok = passed == len(results)
+        lines.append(f"suite {name}: {_mark(suite_ok)} ({passed}/{len(results)} checks)")
         suite_reports.append(
             {
                 "suite": name,
-                "checks": [{"name": n, "pass": ok} for n, ok in checks],
+                "checks": [{"name": n, "pass": ok} for n, ok in results],
                 "pass": suite_ok,
             }
         )
@@ -374,7 +153,8 @@ def _cmd_harmonic(args: argparse.Namespace, rng: random.Random) -> Result:
 
 
 def _cmd_errata(args: argparse.Namespace, rng: random.Random) -> Result:
-    table = list(representation.validate_table())
+    # json.dumps rejects the read-only records, so copy them into dicts.
+    table = [dict(record) for record in representation.validate_table()]
     formulas = representation.formula_errata()
     lines = [f"operator-table cells differing from the oracle: {len(table)}"]
     for record in table:
@@ -443,10 +223,17 @@ def _seed_value(text: str) -> int:
     return value
 
 
+def _singular_degree(text: str) -> int:
+    value = _nonneg(text)
+    if value > MAX_SINGULAR_DEGREE:
+        raise argparse.ArgumentTypeError(f"degree must be at most {MAX_SINGULAR_DEGREE}")
+    return value
+
+
 def _order_value(text: str) -> int:
     value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError("order must be at least 3")
+    if not 3 <= value <= MAX_IDENTITY_ORDER:
+        raise argparse.ArgumentTypeError(f"order must be from 3 to {MAX_IDENTITY_ORDER}")
     return value
 
 
@@ -493,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     singular = sub.add_parser(
         "singular", parents=[common], help="classify singular vectors at a degree"
     )
-    singular.add_argument("--degree", type=_nonneg, required=True, metavar="K")
+    singular.add_argument("--degree", type=_singular_degree, required=True, metavar="K")
 
     identity = sub.add_parser(
         "identity", parents=[common], help="check the series identities to an order"

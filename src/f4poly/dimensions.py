@@ -153,7 +153,11 @@ def closed_form_numerator(k: int, l: int) -> int:
 
 
 def closed_form_dim(k: int, l: int) -> int:
-    """Closed-form dimension with the corrected denominator constant."""
+    """Closed-form dimension with the corrected denominator constant.
+
+    Kept as an independent cross-check of ``weyl_dim``, which computes the
+    same number from the Weyl formula.
+    """
     numerator = closed_form_numerator(k, l)
     quotient, remainder = divmod(numerator, CORRECTED_CONSTANT)
     if remainder:

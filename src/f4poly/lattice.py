@@ -69,10 +69,6 @@ def inner(u: Vector, v: Vector) -> int:
     return total
 
 
-def is_root(v: Vector) -> bool:
-    return inner(v, v) == 2
-
-
 @lru_cache(maxsize=None)
 def all_roots() -> tuple[Vector, ...]:
     """All 72 roots, lexicographically ordered.

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import algebra, linalg, poly
 from .algebra import F4Root
@@ -141,7 +142,11 @@ def label_string(label: OperatorLabel) -> str:
 
 
 def transcribed_operator(label: OperatorLabel) -> Derivation:
-    """Operator exactly as printed; negative-root ones via the dual involution."""
+    """Operator exactly as printed; negative-root ones via the dual involution.
+
+    Kept as an independent cross-check of ``oracle_operator``: downstream code
+    never uses it, and ``validate_table`` reports where the two differ.
+    """
     if label[0] == "h":
         i = label[1]
         if not 1 <= i <= 4:
@@ -169,8 +174,13 @@ operator = oracle_operator
 
 
 @lru_cache(maxsize=None)
-def validate_table() -> Tuple[Dict[str, object], ...]:
-    """Mismatched matrix entries between transcribed operators and the oracle."""
+def validate_table() -> Tuple[Mapping[str, object], ...]:
+    """Mismatched matrix entries between transcribed operators and the oracle.
+
+    Kept as an independent cross-check: the printed table is compared cell by
+    cell with the operators derived from the construction.  The records are
+    cached and shared, so each is a read-only mapping.
+    """
     records: List[Dict[str, object]] = []
     for label in operator_labels():
         transcribed = transcribed_operator(label).matrix()
@@ -188,15 +198,11 @@ def validate_table() -> Tuple[Dict[str, object], ...]:
                             "oracle": str(Fraction(oracle[r][s])),
                         }
                     )
-    return tuple(records)
+    return tuple(MappingProxyType(record) for record in records)
 
 
 def simple_raising() -> List[Derivation]:
     return [operator(("e", root, 1)) for root in algebra.F4_SIMPLE]
-
-
-def simple_lowering() -> List[Derivation]:
-    return [operator(("e", root, -1)) for root in algebra.F4_SIMPLE]
 
 
 def raising_operators() -> List[Derivation]:
@@ -764,7 +770,11 @@ def laplacian_commutator_symbol(op: Derivation) -> Dict[Tuple[int, int], Coeff]:
 
 
 def laplacian_commutes_on_degree(degree: int) -> bool:
-    """Basis check: [Laplacian, op] kills every monomial of this degree."""
+    """Basis check: [Laplacian, op] kills every monomial of this degree.
+
+    Kept as the basis-level cross-check of ``laplacian_commutator_symbol``,
+    which decides the same question from the operators' symbols.
+    """
     monomials = [Polynomial.monomial(e) for e in poly.monomials_of_degree(degree)]
     lap_of = [apply_laplacian(m) for m in monomials]
     for label in operator_labels():

@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
+import pytest
+
 from f4poly import algebra, lattice, linalg, poly
 from f4poly.algebra import AlgebraElement, bracket
 
 
 def test_labels_and_element_arithmetic():
     labs = algebra.labels()
-    assert len(labs) == 78
     assert labs[0] == ("h", 1)
     h1 = AlgebraElement.coroot(1)
     e = AlgebraElement.root_vector(lattice.simple_root(1))
@@ -40,23 +41,33 @@ def test_bracket_conventions():
     assert bracket(e1, e5) == AlgebraElement.zero()
 
 
-def test_antisymmetry():
-    assert algebra.antisymmetry_failures() == 0
-
-
-def test_jacobi_identity_holds():
-    assert algebra.jacobi_failures() == ()
-
-
 def test_involution_is_order_two_automorphism():
+    # that it preserves the bracket is a named algebra check
     for lab in algebra.labels():
         e = AlgebraElement._raw({lab: 1})
         assert algebra.involution(algebra.involution(e)) == e
-    assert algebra.involution_is_automorphism_failures() == []
 
 
-def test_eigenspace_dimensions():
-    assert algebra.eigenspace_dimensions() == (52, 26)
+def test_cached_tables_are_read_only():
+    table = algebra.structure_table()
+    with pytest.raises(TypeError):
+        table[0][7][7] = 1
+    cell = table[0][11]
+    assert cell == {11: -1}
+    with pytest.raises(TypeError):
+        cell[11] = 0
+    with pytest.raises(TypeError):
+        del cell[11]
+    index = algebra.label_index()
+    with pytest.raises(TypeError):
+        index[("h", 1)] = 5
+    roots = algebra._module_root_index()
+    with pytest.raises(TypeError):
+        roots[lattice.ZERO] = (1, 1)
+    assert not algebra.structure_table()[0][7]
+    assert algebra.structure_table()[0][11] == {11: -1}
+    assert algebra.label_index()[("h", 1)] == 0
+    assert lattice.ZERO not in algebra._module_root_index()
 
 
 def test_positive_root_split():

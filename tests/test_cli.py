@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from f4poly import cli, representation
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_verify_lattice_passes(capsys):
@@ -16,12 +19,12 @@ def test_verify_lattice_passes(capsys):
     assert "suite lattice: PASS" in out
 
 
-def test_verify_all_aggregates_every_suite(capsys):
-    assert cli.main(["verify", "all"]) == 0
-    out = capsys.readouterr().out
-    for name in ("lattice", "algebra", "rep", "invariants"):
-        assert f"suite {name}: PASS" in out
-    assert "all suites: PASS" in out
+def test_verify_all_aggregates_every_suite(tmp_path, capsys):
+    """Stdout and --json of ``--seed 12345 verify all`` match the recorded output."""
+    path = tmp_path / "report.json"
+    assert cli.main(["--seed", "12345", "--json", str(path), "verify", "all"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "verify_all_seed_12345.txt").read_bytes()
+    assert path.read_bytes() == (DATA / "verify_all_seed_12345.json").read_bytes()
 
 
 def test_verify_json_report(tmp_path, capsys):
@@ -143,6 +146,8 @@ def test_usage_errors_exit_two():
         ["bogus"],
         [],
         ["identity", "--order", "2"],
+        ["identity", "--order", str(cli.MAX_IDENTITY_ORDER + 1)],
+        ["singular", "--degree", str(cli.MAX_SINGULAR_DEGREE + 1)],
         ["harmonic", "--degree", "1"],
         ["dim", "-1", "0"],
         ["verify", "nonsense"],

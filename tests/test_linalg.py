@@ -1,7 +1,10 @@
 """Tests for the exact sparse elimination helpers."""
 
-import random
 from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f4poly import linalg
 
@@ -36,64 +39,54 @@ def test_rank_simple_cases():
     assert linalg.rank([{0: 1, 1: 1}, {1: 1}]) == 2
 
 
-def test_rank_matches_dense_reference():
-    rng = random.Random(20240817)
-    for _ in range(40):
-        nrows = rng.randrange(1, 8)
-        ncols = rng.randrange(1, 8)
-        rows = []
-        for _ in range(nrows):
-            row = {}
-            for j in range(ncols):
-                if rng.random() < 0.5:
-                    row[j] = rng.randrange(-4, 5)
-            rows.append({k: v for k, v in row.items() if v})
-        assert linalg.rank(rows) == dense_rank(rows, ncols)
-
-
 def test_rank_handles_fractions():
     rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: 3, 1: 2}]
     assert linalg.rank(rows) == 1
 
 
-def test_nullspace_annihilates_and_has_full_count():
-    rng = random.Random(7)
-    for _ in range(40):
-        nrows = rng.randrange(1, 7)
-        ncols = rng.randrange(1, 7)
-        rows = []
-        for _ in range(nrows):
-            row = {}
-            for j in range(ncols):
-                if rng.random() < 0.4:
-                    row[j] = rng.randrange(-3, 4)
-            rows.append({k: v for k, v in row.items() if v})
-        kernel = linalg.nullspace(rows, ncols)
-        assert len(kernel) == ncols - dense_rank(rows, ncols)
-        for vec in kernel:
-            assert len(vec) == ncols
-            for row in rows:
-                assert sum(c * vec[j] for j, c in row.items()) == 0
+@st.composite
+def row_sets(draw):
+    """(rows, ncols): a few sparse rows of small integer or Fraction entries."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    rows = draw(st.lists(row, max_size=7))
+    return [{j: c for j, c in r.items() if c} for r in rows], ncols
 
 
-def test_nullspace_vectors_are_primitive_and_independent():
-    rng = random.Random(99)
-    rows = []
-    ncols = 6
-    for _ in range(3):
-        row = {j: rng.randrange(-3, 4) for j in range(ncols) if rng.random() < 0.6}
-        rows.append({k: v for k, v in row.items() if v})
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(row_sets())
+def test_rank_matches_dense_reference(case):
+    rows, ncols = case
+    assert linalg.rank(rows) == dense_rank(rows, ncols)
+
+
+@PROPERTY_SETTINGS
+@given(row_sets())
+def test_nullspace_annihilates_and_has_full_count(case):
+    rows, ncols = case
+    kernel = linalg.nullspace(rows, ncols)
+    assert linalg.rank(rows) + len(kernel) == ncols
+    for vec in kernel:
+        assert len(vec) == ncols
+        for row in rows:
+            assert sum(c * vec[j] for j, c in row.items()) == 0
+
+
+@PROPERTY_SETTINGS
+@given(row_sets())
+def test_nullspace_vectors_are_primitive_and_independent(case):
+    rows, ncols = case
     kernel = linalg.nullspace(rows, ncols)
     for vec in kernel:
-        nonzero = [abs(v) for v in vec if v]
-        assert nonzero, "kernel vector must be nonzero"
-        from math import gcd
-        g = 0
-        for v in nonzero:
-            g = gcd(g, v)
-        assert g == 1
-        first = next(v for v in vec if v)
-        assert first > 0
+        assert all(isinstance(v, int) for v in vec)
+        assert gcd(*vec) == 1
+        assert next(v for v in vec if v) > 0
     assert linalg.rank_of_vectors(kernel) == len(kernel)
 
 
