@@ -3,7 +3,7 @@ out of E6, realized by differential operators on polynomials in 26 variables."""
 
 from __future__ import annotations
 
-from . import algebra, checks, cli, dimensions, lattice, linalg, poly, representation
+from . import algebra, checks, dimensions, lattice, linalg, poly, representation
 
 __version__ = "0.1.0"
 

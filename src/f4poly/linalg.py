@@ -2,12 +2,16 @@
 
 Rows are dicts column -> coefficient (int or Fraction, zeros absent).  The
 elimination is fraction-free: rows are rescaled to primitive integer vectors
-after every combination, so all intermediate entries stay integral.
+after every combination, so all intermediate entries stay integral.  Rows are
+kept in buckets by leading column, so finding the rows that meet a pivot
+column costs nothing per untouched row; the pivots and pivot rows are those
+of a plain left-to-right column scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -39,50 +43,54 @@ def echelon(rows: Iterable[Dict[int, object]]) -> List[Tuple[int, Row]]:
     Returns [(pivot_col, pivot_row), ...] in increasing pivot-column order.
     Each pivot row is a primitive integer row whose minimal column is its
     pivot.  Pivot choice (fewest nonzeros, then input order) is deterministic.
+
+    Rows wait in buckets keyed by their smallest column.  When the smallest
+    bucket's column is reached, no row has an entry to its left, so that
+    bucket holds exactly the rows that meet the column: the pivot comes from
+    it, and each row reduced against the pivot moves to the bucket of its new
+    smallest column.
     """
-    active = [r for r in (_to_int_row(row) for row in rows) if r]
-    if not active:
-        return []
-    maxcol = max(max(r) for r in active)
+    buckets: Dict[int, List[Tuple[int, Row]]] = {}
+    for idx, row in enumerate(rows):
+        r = _to_int_row(row)
+        if r:
+            buckets.setdefault(min(r), []).append((idx, r))
+    heap = list(buckets)
+    heapify(heap)
     pivots: List[Tuple[int, Row]] = []
-    for col in range(maxcol + 1):
-        best = -1
-        for idx, r in enumerate(active):
-            if col in r and (best < 0 or len(r) < len(active[best])):
-                best = idx
-        if best < 0:
-            continue
-        piv = active.pop(best)
+    while heap:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
+        piv = min(bucket, key=lambda entry: (len(entry[1]), entry[0]))[1]
         a = piv[col]
-        reduced = []
-        for r in active:
-            b = r.pop(col, 0)
-            if b:
-                g = 0
-                out: Row = {}
-                for c, v in r.items():
-                    out[c] = a * v
-                for c, v in piv.items():
-                    if c == col:
-                        continue
-                    w = out.get(c, 0) - b * v
-                    if w:
-                        out[c] = w
-                    else:
-                        out.pop(c, None)
-                for v in out.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    for c in out:
-                        out[c] //= g
-                if out:
-                    reduced.append(out)
+        for idx, r in bucket:
+            if r is piv:
+                continue
+            b = r.pop(col)
+            out: Row = {c: a * v for c, v in r.items()}
+            for c, v in piv.items():
+                if c == col:
+                    continue
+                w = out.get(c, 0) - b * v
+                if w:
+                    out[c] = w
+                else:
+                    out.pop(c, None)
+            if not out:
+                continue
+            g = 0
+            for v in out.values():
+                g = gcd(g, v)
+            if g > 1:
+                for c in out:
+                    out[c] //= g
+            lead = min(out)
+            if lead in buckets:
+                buckets[lead].append((idx, out))
             else:
-                reduced.append(r)
-        active = reduced
+                buckets[lead] = [(idx, out)]
+                heappush(heap, lead)
         pivots.append((col, piv))
-        if not active:
-            break
     return pivots
 
 
@@ -95,10 +103,15 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
 
     Vectors are length-ncols tuples; the basis is ordered by free column and
     each vector is normalized so its first nonzero entry is positive.
+
+    Scaling the rational solution by the lcm of its denominators already
+    gives a primitive vector.  For a prime p dividing that lcm, take the entry
+    whose denominator carries the full power of p: scaled, it is its reduced
+    numerator times a factor prime to p, so p does not divide it.  For any
+    other prime, the free entry 1 scales to the lcm itself, prime to p.
     """
     pivots = echelon(rows)
-    pivot_cols = [c for c, _ in pivots]
-    pivot_set = set(pivot_cols)
+    pivot_set = {c for c, _ in pivots}
     basis: List[Tuple[int, ...]] = []
     for free in range(ncols):
         if free in pivot_set:
@@ -116,15 +129,9 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
         den = 1
         for c in x.values():
             den = den * c.denominator // gcd(den, c.denominator)
-        ints = {col: int(v * den) for col, v in x.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {col: v // g for col, v in ints.items()}
         vec = [0] * ncols
-        for col, v in ints.items():
-            vec[col] = v
+        for col, v in x.items():
+            vec[col] = int(v * den)
         for v in vec:
             if v:
                 if v < 0:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
@@ -419,15 +420,48 @@ def monomials_of_degree(degree: int) -> Iterator[Exponent]:
         yield tuple(exp)
 
 
+# Largest |component| of a variable weight, so a degree-d weight has every
+# component in -MAX_COMPONENT*d..MAX_COMPONENT*d.
+_MAX_COMPONENT = max(abs(c) for w in VARIABLE_WEIGHTS for c in w)
+
+
+def pack_weight(w: Sequence[int], degree: int) -> int:
+    """Weight of a degree-`degree` monomial as one int: balanced base-b digits
+    with b = 2 * MAX_COMPONENT * degree + 1, so distinct weights get distinct
+    ints and int order is the lexicographic order of the weights."""
+    base = 2 * _MAX_COMPONENT * degree + 1
+    key = 0
+    for c in w:
+        key = key * base + c
+    return key
+
+
+def unpack_weight(key: int, degree: int) -> Weight:
+    """Inverse of pack_weight at the same degree."""
+    half = _MAX_COMPONENT * degree
+    base = 2 * half + 1
+    digits = []
+    for _ in range(4):
+        digit = (key + half) % base - half
+        digits.append(digit)
+        key = (key - digit) // base
+    return (digits[3], digits[2], digits[1], digits[0])
+
+
 @lru_cache(maxsize=None)
 def degree_weight_table(degree: int) -> Mapping[Weight, Tuple[Exponent, ...]]:
     """Monomials of one degree grouped by weight, keys sorted descending.
 
-    The table is cached and shared, so it is returned read-only."""
-    groups: Dict[Weight, List[Exponent]] = {}
+    Monomials are grouped by packed weight: packing is linear, so a monomial's
+    packed weight is its exponents times the packed variable weights.  The
+    table is cached and shared, so it is returned read-only."""
+    packed = tuple(pack_weight(w, degree) for w in VARIABLE_WEIGHTS)
+    groups: Dict[int, List[Exponent]] = {}
     for exp in monomials_of_degree(degree):
-        groups.setdefault(exponent_weight(exp), []).append(exp)
-    return MappingProxyType({w: tuple(groups[w]) for w in sorted(groups, reverse=True)})
+        groups.setdefault(sum(map(mul, exp, packed)), []).append(exp)
+    return MappingProxyType(
+        {unpack_weight(key, degree): tuple(groups.pop(key)) for key in sorted(groups, reverse=True)}
+    )
 
 
 def weight_subspace_basis(degree: int, target: Weight) -> Tuple[Exponent, ...]:

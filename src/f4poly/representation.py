@@ -647,7 +647,6 @@ def singular_vectors(degree: int, verify_all_positive: bool = True) -> SingularR
     for w, monomials in poly.degree_weight_table(degree).items():
         if min(w) < 0:
             continue
-        col_of = {exp: j for j, exp in enumerate(monomials)}
         rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Coeff]] = {}
         for j, exp in enumerate(monomials):
             mono = Polynomial.monomial(exp)

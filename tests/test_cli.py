@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from f4poly import cli, representation
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def test_verify_lattice_passes(capsys):
@@ -25,6 +30,29 @@ def test_verify_all_aggregates_every_suite(tmp_path, capsys):
     assert cli.main(["--seed", "12345", "--json", str(path), "verify", "all"]) == 0
     assert capsys.readouterr().out.encode() == (DATA / "verify_all_seed_12345.txt").read_bytes()
     assert path.read_bytes() == (DATA / "verify_all_seed_12345.json").read_bytes()
+
+
+def test_singular_degree_four_output_is_pinned(tmp_path, capsys):
+    """SHA-256 of stdout and --json of ``--json PATH singular --degree 4``."""
+    path = tmp_path / "singular.json"
+    assert cli.main(["--json", str(path), "singular", "--degree", "4"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "9205d3dc2d6b1dbfac2b6dca6947d45e53f7a8a78b7cc5a67abc85219b1dfddb"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e57524b6cd1f02d02f0d8b5c8c36848efce58cd16d4fcd905d366914af74ed0f"
+    )
+
+
+@pytest.mark.parametrize("module", ["f4poly", "f4poly.cli"])
+def test_runs_as_module(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "dim", "0", "1"], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "26\n", "")
 
 
 def test_verify_json_report(tmp_path, capsys):

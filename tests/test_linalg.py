@@ -32,6 +32,55 @@ def dense_rank(rows, ncols):
     return rank
 
 
+def scan_echelon(rows):
+    """The column-scan elimination that ``linalg.echelon`` replaced, kept as a
+    reference: for each column in turn, scan every active row for it."""
+    active = [r for r in (linalg._to_int_row(row) for row in rows) if r]
+    if not active:
+        return []
+    maxcol = max(max(r) for r in active)
+    pivots = []
+    for col in range(maxcol + 1):
+        best = -1
+        for idx, r in enumerate(active):
+            if col in r and (best < 0 or len(r) < len(active[best])):
+                best = idx
+        if best < 0:
+            continue
+        piv = active.pop(best)
+        a = piv[col]
+        reduced = []
+        for r in active:
+            b = r.pop(col, 0)
+            if b:
+                g = 0
+                out = {}
+                for c, v in r.items():
+                    out[c] = a * v
+                for c, v in piv.items():
+                    if c == col:
+                        continue
+                    w = out.get(c, 0) - b * v
+                    if w:
+                        out[c] = w
+                    else:
+                        out.pop(c, None)
+                for v in out.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    for c in out:
+                        out[c] //= g
+                if out:
+                    reduced.append(out)
+            else:
+                reduced.append(r)
+        active = reduced
+        pivots.append((col, piv))
+        if not active:
+            break
+    return pivots
+
+
 def test_rank_simple_cases():
     assert linalg.rank([]) == 0
     assert linalg.rank([{}, {}]) == 0
@@ -56,7 +105,25 @@ def row_sets(draw):
     return [{j: c for j, c in r.items() if c} for r in rows], ncols
 
 
+@st.composite
+def dense_row_sets(draw):
+    """Up to 20 rows over up to 12 columns, dense enough that pivot ties and
+    fill-in occur."""
+    ncols = draw(st.integers(1, 12))
+    entry = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    )
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    return [{j: c for j, c in r.items() if c} for r in draw(st.lists(row, max_size=20))]
+
+
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dense_row_sets())
+def test_echelon_matches_column_scan_reference(rows):
+    assert linalg.echelon(rows) == scan_echelon([dict(r) for r in rows])
 
 
 @PROPERTY_SETTINGS

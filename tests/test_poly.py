@@ -202,6 +202,34 @@ def test_degree_weight_table():
     assert poly.weight_subspace_basis(1, (9, 9, 9, 9)) == ()
 
 
+def test_degree_weight_table_matches_plain_grouping():
+    for d in range(4):
+        groups = {}
+        for exp in poly.monomials_of_degree(d):
+            groups.setdefault(poly.exponent_weight(exp), []).append(exp)
+        expected = {w: tuple(groups[w]) for w in sorted(groups, reverse=True)}
+        table = poly.degree_weight_table(d)
+        assert list(table.items()) == list(expected.items())
+
+
+@st.composite
+def weights_with_degree(draw):
+    """(w, v, d): two weights whose components a degree-d monomial can reach."""
+    d = draw(st.integers(0, 40))
+    component = st.integers(-2 * d, 2 * d)
+    w = draw(st.tuples(component, component, component, component))
+    v = draw(st.tuples(component, component, component, component))
+    return w, v, d
+
+
+@PROPERTY_SETTINGS
+@given(weights_with_degree())
+def test_pack_weight_round_trips_and_keeps_order(case):
+    w, v, d = case
+    assert poly.unpack_weight(poly.pack_weight(w, d), d) == w
+    assert (poly.pack_weight(w, d) < poly.pack_weight(v, d)) == (w < v)
+
+
 def test_degree_weight_table_is_read_only():
     table = poly.degree_weight_table(1)
     with pytest.raises(AttributeError):
