@@ -17,10 +17,12 @@ DEFAULT_SEED = 12345
 
 # Input ceilings, refused at parsing (exit 2) before any work.  Memory of
 # ``singular`` follows the C(K+25, 25) monomials of degree K, about 218 MB at
-# K = 6; ``identity`` time grows about quadratically in N.  README gives the
-# measured cost at each ceiling.
+# K = 6; ``identity`` makes O(N^3) cheap integer ``weyl_dim`` calls; ``branch``
+# holds about K^4/864 generator exponent tuples.  README gives the measured
+# cost at each ceiling.
 MAX_SINGULAR_DEGREE = 6
 MAX_IDENTITY_ORDER = 120
+MAX_BRANCH_DEGREE = 200
 Result = Tuple[int, List[str], object]
 
 
@@ -223,11 +225,16 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _singular_degree(text: str) -> int:
-    value = _nonneg(text)
-    if value > MAX_SINGULAR_DEGREE:
-        raise argparse.ArgumentTypeError(f"degree must be at most {MAX_SINGULAR_DEGREE}")
-    return value
+def _degree_at_most(limit: int) -> Callable[[str], int]:
+    """Argument type for a nonnegative degree no larger than limit."""
+
+    def degree(text: str) -> int:
+        value = _nonneg(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"degree must be at most {limit}")
+        return value
+
+    return degree
 
 
 def _order_value(text: str) -> int:
@@ -280,7 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
     singular = sub.add_parser(
         "singular", parents=[common], help="classify singular vectors at a degree"
     )
-    singular.add_argument("--degree", type=_singular_degree, required=True, metavar="K")
+    singular.add_argument(
+        "--degree", type=_degree_at_most(MAX_SINGULAR_DEGREE), required=True, metavar="K"
+    )
 
     identity = sub.add_parser(
         "identity", parents=[common], help="check the series identities to an order"
@@ -296,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     branch = sub.add_parser(
         "branch", parents=[common], help="compare branching total with the monomial count"
     )
-    branch.add_argument("--degree", type=_nonneg, required=True, metavar="K")
+    branch.add_argument(
+        "--degree", type=_degree_at_most(MAX_BRANCH_DEGREE), required=True, metavar="K"
+    )
 
     harmonic = sub.add_parser(
         "harmonic", parents=[common], help="harmonic summand bound and witnesses at a degree"

@@ -1,7 +1,9 @@
 """F4 metric data, the Weyl dimension formula, and big-integer series identities.
 
 Everything here works in the simple-root basis of F4 with the long roots
-normalized to squared length 2, using exact rational arithmetic throughout.
+normalized to squared length 2.  The metric data is exact rational
+arithmetic; the Weyl formula and the series are integer arithmetic, with no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -125,18 +127,36 @@ def weyl_vector() -> Vector4:
 
 
 @lru_cache(maxsize=None)
+def _coroot_forms() -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
+    """Integer forms of the Weyl formula, and its denominator.
+
+    For each positive root alpha, the triple (a, b, c) gives the pairing
+    (k*w3 + l*w4 + rho, alpha^vee) = a*k + b*l + c, each entry computed as
+    2(v, alpha)/(alpha, alpha) from GRAM4.  The denominator is the product of
+    the 24 values c, the pairings of rho alone.
+    """
+    weights = fundamental_weights()
+    vectors = (weights[2], weights[3], weyl_vector())
+    forms = []
+    for root in positive_roots():
+        pairings = [2 * inner(v, root) / norm(root) for v in vectors]
+        if any(p.denominator != 1 for p in pairings):
+            raise ArithmeticError(f"non-integral coroot pairing at root {root}")
+        forms.append(tuple(p.numerator for p in pairings))
+    return tuple(forms), math.prod(c for _, _, c in forms)
+
+
+@lru_cache(maxsize=None)
 def weyl_dim(k: int, l: int) -> int:
     """Dimension of the irreducible module with highest weight k*w3 + l*w4."""
-    weights = fundamental_weights()
-    shifted = tuple(
-        k * weights[2][j] + l * weights[3][j] + weyl_vector()[j] for j in range(4)
-    )
-    value = Fraction(1)
-    for root in positive_roots():
-        value *= inner(shifted, root) / inner(weyl_vector(), root)
-    if value.denominator != 1:
-        raise ArithmeticError(f"dimension formula gave non-integer {value}")
-    return value.numerator
+    forms, denominator = _coroot_forms()
+    numerator = math.prod(a * k + b * l + c for a, b, c in forms)
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"dimension formula gave non-integer {Fraction(numerator, denominator)}"
+        )
+    return quotient
 
 
 def closed_form_numerator(k: int, l: int) -> int:

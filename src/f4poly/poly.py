@@ -4,7 +4,6 @@ dual involution, and weight grading used by the folded-algebra realization."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import mul
 from types import MappingProxyType
@@ -448,13 +447,13 @@ def unpack_weight(key: int, degree: int) -> Weight:
     return (digits[3], digits[2], digits[1], digits[0])
 
 
-@lru_cache(maxsize=None)
 def degree_weight_table(degree: int) -> Mapping[Weight, Tuple[Exponent, ...]]:
     """Monomials of one degree grouped by weight, keys sorted descending.
 
     Monomials are grouped by packed weight: packing is linear, so a monomial's
     packed weight is its exponents times the packed variable weights.  The
-    table is cached and shared, so it is returned read-only."""
+    table is built afresh on each call, not cached, so it is freed as soon as
+    the caller drops it; it is returned read-only all the same."""
     packed = tuple(pack_weight(w, degree) for w in VARIABLE_WEIGHTS)
     groups: Dict[int, List[Exponent]] = {}
     for exp in monomials_of_degree(degree):

@@ -45,6 +45,36 @@ def test_singular_degree_four_output_is_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, out_sha, json_sha",
+    [
+        (
+            ["identity", "--order", "60"],
+            "250b8e09370c7ece04279293b3a70ff1b61cb6ea6f55b31e86bdf080b62dfa2c",
+            "87ed5b9920690d14b4bd9aacd1d27201a063c2d5c8988d34cad44e32c17b71b3",
+        ),
+        (
+            ["branch", "--degree", "40"],
+            "c44a756a619dd0d7f9fc56b45074cbddcf63087ed16f64916346bfa054fedaa3",
+            "40937e09d8f2726defec0a9c34ad30e744c6c8240d7f79529db25d0ee7f26c96",
+        ),
+        (
+            ["dim", "3", "5"],
+            "6dfbc9545da3620f1c979da43152eeeed68d72156ed02cd2ec816adbeb45c86d",
+            "58952a021d6292ee5a0df8bde93a1d3c4cfd5937984481b7b67fbe2dc4654bc6",
+        ),
+    ],
+    ids=["identity-60", "branch-40", "dim-3-5"],
+)
+def test_dimension_output_is_pinned(tmp_path, capsys, argv, out_sha, json_sha):
+    """SHA-256 of stdout and --json of the commands built on ``weyl_dim``."""
+    path = tmp_path / "out.json"
+    assert cli.main(["--json", str(path), *argv]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == out_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+
+
 @pytest.mark.parametrize("module", ["f4poly", "f4poly.cli"])
 def test_runs_as_module(module):
     env = dict(os.environ)
@@ -176,6 +206,7 @@ def test_usage_errors_exit_two():
         ["identity", "--order", "2"],
         ["identity", "--order", str(cli.MAX_IDENTITY_ORDER + 1)],
         ["singular", "--degree", str(cli.MAX_SINGULAR_DEGREE + 1)],
+        ["branch", "--degree", str(cli.MAX_BRANCH_DEGREE + 1)],
         ["harmonic", "--degree", "1"],
         ["dim", "-1", "0"],
         ["verify", "nonsense"],

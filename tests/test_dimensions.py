@@ -5,10 +5,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from f4poly import algebra, dimensions as dim
 
 
 SIMPLES = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def fraction_weyl_dim(weight):
+    """Weyl product over the positive roots in Fractions: the test reference."""
+    delta = dim.weyl_vector()
+    shifted = tuple(weight[j] + delta[j] for j in range(4))
+    value = Fraction(1)
+    for root in dim.positive_roots():
+        value *= dim.inner(shifted, root) / dim.inner(delta, root)
+    return value
 
 
 def test_gram_matrix_shape():
@@ -64,22 +79,43 @@ def test_weyl_dim_headline_values():
 
 def test_adjoint_and_second_fundamental_dimensions():
     weights = dim.fundamental_weights()
-    delta = dim.weyl_vector()
+    assert fraction_weyl_dim(weights[0]) == 52
+    assert fraction_weyl_dim(weights[1]) == 1274
 
-    def dim_of(weight):
-        shifted = tuple(weight[j] + delta[j] for j in range(4))
-        value = Fraction(1)
-        for root in dim.positive_roots():
-            value *= dim.inner(shifted, root) / dim.inner(delta, root)
-        return value
 
-    assert dim_of(weights[0]) == 52
-    assert dim_of(weights[1]) == 1274
+def test_weyl_dim_matches_fraction_weyl_formula():
+    weights = dim.fundamental_weights()
+    for k in range(10):
+        for l in range(10):
+            weight = tuple(k * weights[2][j] + l * weights[3][j] for j in range(4))
+            assert dim.weyl_dim(k, l) == fraction_weyl_dim(weight)
+
+
+def test_coroot_forms_are_the_coroot_pairings():
+    forms, denominator = dim._coroot_forms()
+    assert len(forms) == 24
+    assert all(c >= 1 for _, _, c in forms)
+    weights = dim.fundamental_weights()
+    vectors = (weights[2], weights[3], dim.weyl_vector())
+    for root, form in zip(dim.positive_roots(), forms):
+        assert form == tuple(2 * dim.inner(v, root) / dim.norm(root) for v in vectors)
+    assert denominator == math.prod(c for _, _, c in forms)
+
+
+def test_inexact_weyl_data_raises(monkeypatch):
+    dim._coroot_forms.cache_clear()
+    monkeypatch.setattr(dim, "weyl_vector", lambda: (Fraction(1, 3),) * 4)
+    with pytest.raises(ArithmeticError):
+        dim._coroot_forms()
+    monkeypatch.setattr(dim, "_coroot_forms", lambda: (((1, 0, 1),), 2))
+    assert dim.weyl_dim.__wrapped__(1, 0) == 1
+    with pytest.raises(ArithmeticError):
+        dim.weyl_dim.__wrapped__(2, 0)
 
 
 def test_closed_form_matches_weyl_dim_on_grid():
-    for k in range(6):
-        for l in range(6):
+    for k in range(40):
+        for l in range(40):
             assert dim.closed_form_dim(k, l) == dim.weyl_dim(k, l)
 
 
@@ -104,6 +140,35 @@ def test_series_arithmetic():
     assert (b * geometric).coeffs == (1, 0, 0, 0, 0, 0)
     binom = dim.inverse_one_minus_t_power(26, 8)
     assert binom.coeffs[n := 4] == math.comb(n + 25, 25)
+
+
+def series(order):
+    """(a, b, c, order): three truncated series of one order, coefficients in [-50, 50]."""
+    coeffs = st.lists(st.integers(-50, 50), max_size=order + 3)
+    one = st.builds(dim.TruncatedSeries.from_coeffs, st.just(order), coeffs)
+    return st.tuples(one, one, one, st.just(order))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 12).flatmap(series))
+def test_series_ring_laws(case):
+    a, b, c, order = case
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    full = [0] * (2 * order + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            full[i + j] += x * y
+    assert (a * b).coeffs == tuple(full[: order + 1])
+
+
+def test_series_orders_must_agree():
+    a = dim.TruncatedSeries.from_coeffs(3, (1, 2))
+    b = dim.TruncatedSeries.from_coeffs(4, (1, 2))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError):
+            op(a, b)
 
 
 def test_rhs_series_values():
