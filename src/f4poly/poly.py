@@ -191,16 +191,6 @@ class Polynomial:
             result = result * self
         return result
 
-    def partial(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to variable `index` (1-based)."""
-        j = index - 1
-        out: Dict[Exponent, Coeff] = {}
-        for exp, coeff in self.terms.items():
-            k = exp[j]
-            if k:
-                out[exp[:j] + (k - 1,) + exp[j + 1 :]] = k * coeff
-        return Polynomial._raw(out)
-
     def sorted_terms(self) -> List[Tuple[Exponent, Coeff]]:
         """Terms ordered by total degree then lexicographically, both descending."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)

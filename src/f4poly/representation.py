@@ -730,13 +730,33 @@ def laplacian_printed() -> Tuple[Tuple[int, int, Coeff], ...]:
     return tuple(terms)
 
 
+# The Laplacian's terms as 0-based cells (a, b, c), meaning c * d_a * d_b.
+_LAPLACIAN_CELLS: Tuple[Tuple[int, int, Coeff], ...] = tuple(
+    (a - 1, b - 1, c) for a, b, c in laplacian()
+)
+
+
 def apply_laplacian(f: Polynomial) -> Polynomial:
-    total = Polynomial.zero()
-    for a, b, coeff in laplacian():
-        piece = f.partial(a).partial(b)
-        if piece.terms:
-            total = total + coeff * piece
-    return total
+    """Act on each monomial x^e term by term: a cross term c*d_a*d_b (a != b)
+    maps it to c*e[a]*e[b]*x^(e - e_a - e_b), a square term c*d_a^2 to
+    c*e[a]*(e[a]-1)*x^(e - 2*e_a); terms that cancel are dropped."""
+    out: Dict[poly.Exponent, Coeff] = {}
+    for exp, coeff in f.terms.items():
+        for a, b, c in _LAPLACIAN_CELLS:
+            ka = exp[a]
+            kb = exp[b] - (a == b)
+            if ka <= 0 or kb <= 0:
+                continue
+            lowered = list(exp)
+            lowered[a] -= 1
+            lowered[b] -= 1
+            key = tuple(lowered)
+            new = out.get(key, 0) + c * ka * kb * coeff
+            if new:
+                out[key] = new
+            elif key in out:
+                del out[key]
+    return Polynomial._raw(out)
 
 
 def laplacian_commutator_symbol(op: Derivation) -> Dict[Tuple[int, int], Coeff]:
@@ -757,14 +777,12 @@ def laplacian_commutator_symbol(op: Derivation) -> Dict[Tuple[int, int], Coeff]:
             del acc[key]
 
     for j, entries in op.columns:
-        s = j + 1
         for i, coeff in entries:
-            r = i + 1
-            for a, b, c in laplacian():
-                if a == r:
-                    add(b, s, c * coeff)
-                if b == r:
-                    add(a, s, c * coeff)
+            for a, b, c in _LAPLACIAN_CELLS:
+                if a == i:
+                    add(b + 1, j + 1, c * coeff)
+                if b == i:
+                    add(a + 1, j + 1, c * coeff)
     return acc
 
 

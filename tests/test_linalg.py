@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4poly import linalg
+from helpers import exact_values
 
 
 def dense_rank(rows, ncols):
@@ -97,12 +98,16 @@ def test_rank_handles_fractions():
 def row_sets(draw):
     """(rows, ncols): a few sparse rows of small integer or Fraction entries."""
     ncols = draw(st.integers(1, 7))
-    entry = st.one_of(
-        st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    )
+    entry = st.sampled_from(exact_values(4, 3, 4))
     row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
     rows = draw(st.lists(row, max_size=7))
     return [{j: c for j, c in r.items() if c} for r in rows], ncols
+
+
+# The values of exact_values(3, 2, 3), with zeros added so that 10 of the 32
+# entries are zero: whole rows sampled from this pool are dense enough that
+# pivot ties and fill-in are common.
+DENSE_ENTRIES = exact_values(3, 2, 3) + (0,) * 8
 
 
 @st.composite
@@ -110,11 +115,8 @@ def dense_row_sets(draw):
     """Up to 20 rows over up to 12 columns, dense enough that pivot ties and
     fill-in occur."""
     ncols = draw(st.integers(1, 12))
-    entry = st.one_of(
-        st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    )
-    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
-    return [{j: c for j, c in r.items() if c} for r in draw(st.lists(row, max_size=20))]
+    row = st.lists(st.sampled_from(DENSE_ENTRIES), min_size=ncols, max_size=ncols)
+    return [{j: c for j, c in enumerate(r) if c} for r in draw(st.lists(row, max_size=20))]
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f4poly import algebra, dimensions, poly, representation as rep
 from f4poly.poly import Derivation, Polynomial
+from helpers import exact_values, partial
 
 X = Polynomial.variable
 A1, A2, A3, A4 = algebra.F4_SIMPLE
@@ -207,6 +211,43 @@ def test_generator_products_are_singular_through_degree_5():
             assert op.apply(product).is_zero()
 
 
+def reference_laplacian(terms, f):
+    """The sum of c * d_a d_b f over the terms (a, b, c), from second partials."""
+    total = Polynomial.zero()
+    for a, b, c in terms:
+        total = total + c * partial(partial(f, a), b)
+    return total
+
+
+# Polynomials rich in the Laplacian's own terms: products of powers of the
+# null variables x13 and x14 up to the fifth, powers of mirror pairs
+# xr * x(27-r) up to the third, differences of two mirror pairs (on which the
+# constant parts of the image cancel), and single variables.
+laplacian_factors = st.one_of(
+    st.tuples(st.sampled_from((13, 14)), st.integers(1, 5)).map(lambda vk: X(vk[0]) ** vk[1]),
+    st.tuples(st.integers(1, 12), st.integers(1, 3)).map(
+        lambda rk: (X(rk[0]) * X(27 - rk[0])) ** rk[1]
+    ),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(
+        lambda rs: X(rs[0]) * X(27 - rs[0]) - X(rs[1]) * X(27 - rs[1])
+    ),
+    st.integers(1, 26).map(X),
+)
+laplacian_coeffs = st.sampled_from(exact_values(3, 2, 3))
+laplacian_terms = st.tuples(laplacian_coeffs, st.lists(laplacian_factors, max_size=3)).map(
+    lambda cf: cf[0] * prod(cf[1], start=Polynomial.constant(1))
+)
+laplacian_polynomials = st.lists(laplacian_terms, max_size=4).map(
+    lambda terms: sum(terms, Polynomial.zero())
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(laplacian_polynomials)
+def test_apply_laplacian_matches_second_partials(f):
+    assert rep.apply_laplacian(f) == reference_laplacian(rep.laplacian(), f)
+
+
 def test_laplacian_printed_block_differs_and_fails():
     assert rep.laplacian() != rep.laplacian_printed()
     printed_terms = dict(((a, b), c) for a, b, c in rep.laplacian_printed())
@@ -214,10 +255,7 @@ def test_laplacian_printed_block_differs_and_fails():
     assert printed_terms[(13, 14)] == -1
     assert derived_terms[(13, 14)] == 3
     product = rep.zeta(1) * rep.theta()
-    printed_value = Polynomial.zero()
-    for a, b, c in rep.laplacian_printed():
-        printed_value = printed_value + c * product.partial(a).partial(b)
-    assert not printed_value.is_zero()
+    assert not reference_laplacian(rep.laplacian_printed(), product).is_zero()
     assert rep.apply_laplacian(product).is_zero()
 
 
