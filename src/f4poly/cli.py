@@ -15,12 +15,12 @@ from . import algebra, checks, dimensions, lattice, poly, representation
 
 DEFAULT_SEED = 12345
 
-# Input ceilings, refused at parsing (exit 2) before any work.  Memory of
-# ``singular`` follows the C(K+25, 25) monomials of degree K, about 218 MB at
-# K = 6; ``identity`` makes O(N^3) cheap integer ``weyl_dim`` calls; ``branch``
-# holds about K^4/864 generator exponent tuples.  README gives the measured
-# cost at each ceiling.
-MAX_SINGULAR_DEGREE = 6
+# Input ceilings, refused at parsing (exit 2) before any work.  Time of
+# ``singular`` follows the C(K+25, 25) monomials of degree K, all weighed, and
+# its memory the dominant ones it keeps; ``identity`` makes O(N^3) cheap integer
+# ``weyl_dim`` calls; ``branch`` holds about K^4/864 generator exponent tuples.
+# README gives the measured cost at each ceiling.
+MAX_SINGULAR_DEGREE = 7
 MAX_IDENTITY_ORDER = 120
 MAX_BRANCH_DEGREE = 200
 Result = Tuple[int, List[str], object]

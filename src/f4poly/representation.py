@@ -645,8 +645,6 @@ def singular_vectors(degree: int, verify_all_positive: bool = True) -> SingularR
     raisers = raising_operators() if verify_all_positive else []
     entries: List[SingularEntry] = []
     for w, monomials in poly.degree_weight_table(degree).items():
-        if min(w) < 0:
-            continue
         rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Coeff]] = {}
         for j, exp in enumerate(monomials):
             mono = Polynomial.monomial(exp)

@@ -201,26 +201,36 @@ def test_monomial_enumeration_counts():
 
 def test_degree_weight_table():
     table = poly.degree_weight_table(2)
-    assert sum(len(v) for v in table.values()) == comb(27, 25)
     keys = list(table)
     assert keys == sorted(keys, reverse=True)
     for w, exps in table.items():
+        assert min(w) >= 0
         for e in exps:
+            assert sum(e) == 2
             assert poly.exponent_weight(e) == w
     # 12 dual-pair products plus the three quadratics in the two null variables
-    zero_basis = poly.weight_subspace_basis(2, (0, 0, 0, 0))
-    assert len(zero_basis) == 15
-    assert poly.weight_subspace_basis(1, (9, 9, 9, 9)) == ()
+    assert len(table[(0, 0, 0, 0)]) == 15
+    # x26 and x26^2 weigh (0, 0, 0, -1) and (0, 0, 0, -2): not dominant, so dropped
+    assert (0, 0, 0, -2) not in table and (0, 0, 0, -1) not in poly.degree_weight_table(1)
+    assert (9, 9, 9, 9) not in poly.degree_weight_table(1)
 
 
 def test_degree_weight_table_matches_plain_grouping():
-    for d in range(4):
+    for d in range(5):
         groups = {}
         for exp in poly.monomials_of_degree(d):
             groups.setdefault(poly.exponent_weight(exp), []).append(exp)
-        expected = {w: tuple(groups[w]) for w in sorted(groups, reverse=True)}
+        expected = {w: tuple(groups[w]) for w in sorted(groups, reverse=True) if min(w) >= 0}
         table = poly.degree_weight_table(d)
         assert list(table.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("d, blocks, monomials", [(4, 16, 709), (5, 25, 3174)])
+def test_degree_weight_table_dominant_counts(d, blocks, monomials):
+    table = poly.degree_weight_table(d)
+    assert len(table) == blocks
+    assert sum(len(block) for block in table.values()) == monomials
+    assert all(min(w) >= 0 for w in table)
 
 
 @st.composite
@@ -247,9 +257,12 @@ def test_degree_weight_table_is_read_only():
         table.clear()
     with pytest.raises(TypeError):
         table[(0, 0, 0, 1)] = ()
+    with pytest.raises(TypeError):
+        del table[(0, 0, 0, 0)]
+    x1, x13, x14 = (tuple(int(j == i) for j in range(26)) for i in (0, 12, 13))
     again = poly.degree_weight_table(1)
-    assert sum(len(block) for block in again.values()) == 26
-    assert again.get((0, 0, 0, 0)) == poly.weight_subspace_basis(1, (0, 0, 0, 0))
+    expected = [((0, 0, 0, 1), (x1,)), ((0, 0, 0, 0), (x13, x14))]
+    assert list(again.items()) == list(table.items()) == expected
 
 
 def test_json_roundtrip():
