@@ -19,7 +19,11 @@ F4Root = Tuple[int, int, int, int]
 
 DIM = 78
 
-_SIGMA_INDEX = (6, 2, 5, 4, 3, 1)  # image of simple-root index i under the fold
+# Image of simple-root index i under the diagram involution, read off its action
+# on the simple roots.
+_SIGMA_INDEX = tuple(
+    lattice.diagram_involution(lattice.simple_root(i)).index(1) + 1 for i in range(1, 7)
+)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +207,12 @@ def involution(element: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._raw({_involution_label(lab): c for lab, c in element.terms.items()})
 
 
-def involution_is_automorphism_failures(limit: int = 5) -> List[Tuple[Label, Label]]:
+# Failures each sweep reports before it stops.
+_AUTOMORPHISM_FAILURE_LIMIT = 5
+_JACOBI_FAILURE_LIMIT = 1
+
+
+def involution_is_automorphism_failures() -> List[Tuple[Label, Label]]:
     """Basis pairs where the involution fails to preserve the bracket."""
     labs = labels()
     failures: List[Tuple[Label, Label]] = []
@@ -213,7 +222,7 @@ def involution_is_automorphism_failures(limit: int = 5) -> List[Tuple[Label, Lab
         for j in range(DIM):
             if involution(bracket(basis[i], basis[j])) != bracket(images[i], images[j]):
                 failures.append((labs[i], labs[j]))
-                if len(failures) >= limit:
+                if len(failures) >= _AUTOMORPHISM_FAILURE_LIMIT:
                     return failures
     return failures
 
@@ -235,7 +244,7 @@ def antisymmetry_failures() -> int:
 
 
 @lru_cache(maxsize=None)
-def jacobi_failures(limit: int = 1) -> Tuple[Tuple[int, int, int], ...]:
+def jacobi_failures() -> Tuple[Tuple[int, int, int], ...]:
     """Index triples i<j<k violating the Jacobi identity.
 
     By bilinearity the identity holds on all of the algebra iff it holds on
@@ -267,7 +276,7 @@ def jacobi_failures(limit: int = 1) -> Tuple[Tuple[int, int, int], ...]:
                         acc[target] = acc.get(target, 0) + c * w
                 if any(acc.values()):
                     failures.append((i, j, k))
-                    if len(failures) >= limit:
+                    if len(failures) >= _JACOBI_FAILURE_LIMIT:
                         return tuple(failures)
     return tuple(failures)
 
@@ -315,57 +324,33 @@ def fold(root: Sequence[int]) -> F4Root:
     return (root[1], root[3], root[2] + root[4], root[0] + root[5])
 
 
-# Positive roots of the folded algebra, in presentation order, each with one
-# rank-6 representative; the full fiber is the involution orbit of the seed.
-_F4_POSITIVE_SEED: Tuple[Tuple[F4Root, Vector], ...] = (
-    ((1, 0, 0, 0), (0, 1, 0, 0, 0, 0)),
-    ((0, 1, 0, 0), (0, 0, 0, 1, 0, 0)),
-    ((0, 0, 1, 0), (0, 0, 1, 0, 0, 0)),
-    ((0, 0, 0, 1), (1, 0, 0, 0, 0, 0)),
-    ((1, 1, 0, 0), (0, 1, 0, 1, 0, 0)),
-    ((0, 1, 1, 0), (0, 0, 1, 1, 0, 0)),
-    ((0, 0, 1, 1), (1, 0, 1, 0, 0, 0)),
-    ((1, 1, 1, 0), (0, 1, 1, 1, 0, 0)),
-    ((0, 1, 1, 1), (1, 0, 1, 1, 0, 0)),
-    ((0, 1, 2, 0), (0, 0, 1, 1, 1, 0)),
-    ((1, 1, 2, 0), (0, 1, 1, 1, 1, 0)),
-    ((0, 1, 2, 1), (1, 0, 1, 1, 1, 0)),
-    ((1, 1, 1, 1), (1, 1, 1, 1, 0, 0)),
-    ((1, 2, 2, 0), (0, 1, 1, 2, 1, 0)),
-    ((1, 1, 2, 1), (1, 1, 1, 1, 1, 0)),
-    ((0, 1, 2, 2), (1, 0, 1, 1, 1, 1)),
-    ((1, 2, 2, 1), (1, 1, 1, 2, 1, 0)),
-    ((1, 1, 2, 2), (1, 1, 1, 1, 1, 1)),
-    ((1, 2, 2, 2), (1, 1, 1, 2, 1, 1)),
-    ((1, 2, 3, 1), (1, 1, 2, 2, 1, 0)),
-    ((1, 2, 3, 2), (1, 1, 2, 2, 1, 1)),
-    ((1, 2, 4, 2), (1, 1, 2, 2, 2, 1)),
-    ((1, 3, 4, 2), (1, 1, 2, 3, 2, 1)),
-    ((2, 3, 4, 2), (1, 2, 2, 3, 2, 1)),
+# Positive roots of the folded algebra in presentation order, which operator
+# labels and errata records follow.
+F4_POSITIVE: Tuple[F4Root, ...] = (
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+    (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 0),
+    (0, 1, 1, 1), (0, 1, 2, 0), (1, 1, 2, 0), (0, 1, 2, 1),
+    (1, 1, 1, 1), (1, 2, 2, 0), (1, 1, 2, 1), (0, 1, 2, 2),
+    (1, 2, 2, 1), (1, 1, 2, 2), (1, 2, 2, 2), (1, 2, 3, 1),
+    (1, 2, 3, 2), (1, 2, 4, 2), (1, 3, 4, 2), (2, 3, 4, 2),
 )
-
-F4_POSITIVE: Tuple[F4Root, ...] = tuple(r for r, _ in _F4_POSITIVE_SEED)
 
 F4_SIMPLE: Tuple[F4Root, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-# Coefficients of the four diagonal folded generators over the six coroots.
-_F4_CARTAN_COEFFS: Tuple[Vector, ...] = (
-    (0, 1, 0, 0, 0, 0),
-    (0, 0, 0, 1, 0, 0),
-    (0, 0, 1, 0, 1, 0),
-    (1, 0, 0, 0, 0, 1),
-)
 
 
 @lru_cache(maxsize=None)
 def f4_fiber(root: F4Root) -> Tuple[Vector, ...]:
-    """Rank-6 roots folding onto one positive rank-4 root (1 long, 2 short)."""
-    seeds = dict(_F4_POSITIVE_SEED)
-    if root not in seeds:
+    """Rank-6 positive roots beta with fold(beta) == root (1 long, 2 short).
+
+    ``fold`` sums the coefficients over each orbit of the diagram involution,
+    so fold(beta) == fold(sigma(beta)) and every fiber is a union of
+    involution orbits; each of the 24 is a single orbit, a fixed root or a
+    root and its distinct image.
+    """
+    fiber = tuple(beta for beta in lattice.positive_roots() if fold(beta) == root)
+    if not fiber:
         raise ValueError(f"{root} is not a positive root of the folded system")
-    seed = seeds[root]
-    image = lattice.diagram_involution(seed)
-    return (seed,) if image == seed else (seed, image)
+    return fiber
 
 
 def f4_root_vector(root: Sequence[int], sign: int = 1) -> AlgebraElement:
@@ -381,10 +366,15 @@ def f4_root_vector(root: Sequence[int], sign: int = 1) -> AlgebraElement:
 
 
 def f4_cartan(i: int) -> AlgebraElement:
-    """The i-th diagonal generator of the folded subalgebra (i in 1..4)."""
+    """The i-th diagonal generator of the folded subalgebra (i in 1..4).
+
+    The fiber of a simple folded root consists of simple roots alpha_j, and
+    the generator is the sum of their coroots h_j.
+    """
     if not 1 <= i <= 4:
         raise ValueError(f"diagonal generator index must be in 1..4, got {i}")
-    return AlgebraElement.cartan(_F4_CARTAN_COEFFS[i - 1])
+    fiber = f4_fiber(F4_SIMPLE[i - 1])
+    return AlgebraElement.cartan([sum(column) for column in zip(*fiber)])
 
 
 # Seed roots for the module basis: x_i = E(seed) - E(flip(seed)) for i = 1..12,

@@ -18,11 +18,13 @@ DEFAULT_SEED = 12345
 # Input ceilings, refused at parsing (exit 2) before any work.  Time of
 # ``singular`` follows the C(K+25, 25) monomials of degree K, all weighed, and
 # its memory the dominant ones it keeps; ``identity`` makes O(N^3) cheap integer
-# ``weyl_dim`` calls; ``branch`` holds about K^4/864 generator exponent tuples.
-# README gives the measured cost at each ceiling.
+# ``weyl_dim`` calls; ``branch`` holds about K^4/864 generator exponent tuples;
+# ``harmonic`` multiplies out and holds every witness product, whose terms grow
+# steeply with K.  README gives the measured cost at each ceiling.
 MAX_SINGULAR_DEGREE = 7
 MAX_IDENTITY_ORDER = 120
 MAX_BRANCH_DEGREE = 200
+MAX_HARMONIC_DEGREE = 26
 Result = Tuple[int, List[str], object]
 
 
@@ -211,47 +213,21 @@ HANDLERS: Dict[str, Callable[[argparse.Namespace, random.Random], Result]] = {
 # --------------------------------------------------------------------------
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """Argument type for an integer from low to high (no ceiling if high is None)."""
 
-
-def _seed_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
-
-
-def _degree_at_most(limit: int) -> Callable[[str], int]:
-    """Argument type for a nonnegative degree no larger than limit."""
-
-    def degree(text: str) -> int:
-        value = _nonneg(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"degree must be at most {limit}")
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bounds = f"at least {low}" if high is None else f"from {low} to {high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}")
         return value
 
-    return degree
-
-
-def _order_value(text: str) -> int:
-    value = int(text)
-    if not 3 <= value <= MAX_IDENTITY_ORDER:
-        raise argparse.ArgumentTypeError(f"order must be from 3 to {MAX_IDENTITY_ORDER}")
-    return value
-
-
-def _harmonic_degree(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("degree must be at least 2")
-    return value
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    seed = _int_in(0, 2**64 - 1)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json",
@@ -263,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed",
         dest="seed",
-        type=_seed_value,
+        type=seed,
         default=argparse.SUPPRESS,
         metavar="U64",
         help="seed for sampled property checks",
@@ -277,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", dest="json_path", default=None, metavar="PATH",
                         help="write the JSON report to this path")
-    parser.add_argument("--seed", dest="seed", type=_seed_value, default=DEFAULT_SEED,
+    parser.add_argument("--seed", dest="seed", type=seed, default=DEFAULT_SEED,
                         metavar="U64", help="seed for sampled property checks")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
@@ -288,31 +264,35 @@ def _build_parser() -> argparse.ArgumentParser:
         "singular", parents=[common], help="classify singular vectors at a degree"
     )
     singular.add_argument(
-        "--degree", type=_degree_at_most(MAX_SINGULAR_DEGREE), required=True, metavar="K"
+        "--degree", type=_int_in(0, MAX_SINGULAR_DEGREE), required=True, metavar="K"
     )
 
     identity = sub.add_parser(
         "identity", parents=[common], help="check the series identities to an order"
     )
-    identity.add_argument("--order", type=_order_value, required=True, metavar="N")
+    identity.add_argument(
+        "--order", type=_int_in(3, MAX_IDENTITY_ORDER), required=True, metavar="N"
+    )
 
     dim = sub.add_parser(
         "dim", parents=[common], help="print the module dimension for a highest weight"
     )
-    dim.add_argument("k", type=_nonneg)
-    dim.add_argument("l", type=_nonneg)
+    dim.add_argument("k", type=_int_in(0))
+    dim.add_argument("l", type=_int_in(0))
 
     branch = sub.add_parser(
         "branch", parents=[common], help="compare branching total with the monomial count"
     )
     branch.add_argument(
-        "--degree", type=_degree_at_most(MAX_BRANCH_DEGREE), required=True, metavar="K"
+        "--degree", type=_int_in(0, MAX_BRANCH_DEGREE), required=True, metavar="K"
     )
 
     harmonic = sub.add_parser(
         "harmonic", parents=[common], help="harmonic summand bound and witnesses at a degree"
     )
-    harmonic.add_argument("--degree", type=_harmonic_degree, required=True, metavar="K")
+    harmonic.add_argument(
+        "--degree", type=_int_in(2, MAX_HARMONIC_DEGREE), required=True, metavar="K"
+    )
 
     sub.add_parser("errata", parents=[common], help="list machine-verified transcription errata")
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 Root4 = Tuple[int, int, int, int]
-Vector4 = Tuple[Fraction, Fraction, Fraction, Fraction]
 
 # Gram matrix of the four simple roots: two long (norm 2), two short (norm 1),
 # with the double bond between positions 2 and 3.
@@ -84,65 +83,28 @@ def long_and_short_counts() -> Tuple[int, int]:
     return longs, shorts
 
 
-def _solve4(matrix: List[List[Fraction]], rhs: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Solve matrix @ X = rhs for the columns of X by Gaussian elimination."""
-    n = 4
-    work = [matrix[i][:] + rhs[i][:] for i in range(n)]
-    width = len(work[0])
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [work[r][c] - factor * work[col][c] for c in range(width)]
-    return [row[n:] for row in work]
-
-
-@lru_cache(maxsize=None)
-def fundamental_weights() -> Tuple[Vector4, ...]:
-    """The four fundamental weights in simple-root coordinates.
-
-    Row i solves (lambda_i, alpha_j^vee) = delta_ij with
-    alpha^vee = 2*alpha/(alpha,alpha).
-    """
-    # pairing matrix P[j][k] = (alpha_j, alpha_k^vee); row i of P^{-1} gives
-    # the simple-root coordinates of the i-th weight, since C @ P = I is
-    # exactly the condition (lambda_i, alpha_k^vee) = delta_ik.
-    pairing = [
-        [2 * GRAM4[j][k] / GRAM4[k][k] for k in range(4)] for j in range(4)
-    ]
-    identity = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    inverse = _solve4(pairing, identity)
-    return tuple(tuple(inverse[i][j] for j in range(4)) for i in range(4))
-
-
-@lru_cache(maxsize=None)
-def weyl_vector() -> Vector4:
-    """Sum of the fundamental weights, in simple-root coordinates."""
-    weights = fundamental_weights()
-    return tuple(sum(w[j] for w in weights) for j in range(4))
-
-
 @lru_cache(maxsize=None)
 def _coroot_forms() -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
     """Integer forms of the Weyl formula, and its denominator.
 
-    For each positive root alpha, the triple (a, b, c) gives the pairing
-    (k*w3 + l*w4 + rho, alpha^vee) = a*k + b*l + c, each entry computed as
-    2(v, alpha)/(alpha, alpha) from GRAM4.  The denominator is the product of
-    the 24 values c, the pairings of rho alone.
+    For a positive root alpha = sum a_i alpha_i, the coroot
+    alpha^vee = 2 alpha/(alpha, alpha) is sum c_i alpha_i^vee with
+    c_i = a_i (alpha_i, alpha_i)/(alpha, alpha), so a weight with Dynkin
+    labels (m_1, ..., m_4) pairs with it to sum c_i m_i (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, 24.3).  The
+    weight k*w3 + l*w4 + rho has labels (1, 1, k+1, l+1), so its pairing is
+    c_3*k + c_4*l + (c_1 + c_2 + c_3 + c_4), stored as the triple
+    (c_3, c_4, sum c_i).  The denominator is the product of the 24 sums, the
+    pairings of rho alone.
     """
-    weights = fundamental_weights()
-    vectors = (weights[2], weights[3], weyl_vector())
     forms = []
     for root in positive_roots():
-        pairings = [2 * inner(v, root) / norm(root) for v in vectors]
-        if any(p.denominator != 1 for p in pairings):
-            raise ArithmeticError(f"non-integral coroot pairing at root {root}")
-        forms.append(tuple(p.numerator for p in pairings))
+        length = norm(root)
+        coeffs = [a * GRAM4[i][i] / length for i, a in enumerate(root)]
+        if any(c.denominator != 1 for c in coeffs):
+            raise ArithmeticError(f"non-integral coroot at root {root}")
+        c1, c2, c3, c4 = (c.numerator for c in coeffs)
+        forms.append((c3, c4, c1 + c2 + c3 + c4))
     return tuple(forms), math.prod(c for _, _, c in forms)
 
 

@@ -632,17 +632,17 @@ def generator_product(exponents: Sequence[int]) -> Polynomial:
     return X(1) ** m1 * zeta(1) ** m2 * theta() ** m3 * eta1() ** m4 * eta2() ** m5
 
 
-def singular_vectors(degree: int, verify_all_positive: bool = True) -> SingularReport:
+def singular_vectors(degree: int) -> SingularReport:
     """Joint kernel of the simple raising operators, split by dominant weight.
 
     Simple operators suffice because every positive-root operator is an
-    iterated commutator of them; when verify_all_positive is set, each kernel
-    vector is additionally checked against all 24 raising operators.
+    iterated commutator of them; each kernel vector is additionally checked
+    against all 24 raising operators.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     simples = simple_raising()
-    raisers = raising_operators() if verify_all_positive else []
+    raisers = raising_operators()
     entries: List[SingularEntry] = []
     for w, monomials in poly.degree_weight_table(degree).items():
         rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Coeff]] = {}
@@ -658,12 +658,11 @@ def singular_vectors(degree: int, verify_all_positive: bool = True) -> SingularR
         basis = []
         for vec in kernel:
             f = Polynomial({monomials[j]: c for j, c in enumerate(vec) if c})
-            if verify_all_positive:
-                for op in raisers:
-                    if not op(f).is_zero():
-                        raise ArithmeticError(
-                            "simple-operator kernel vector not annihilated by all raising operators"
-                        )
+            for op in raisers:
+                if not op(f).is_zero():
+                    raise ArithmeticError(
+                        "simple-operator kernel vector not annihilated by all raising operators"
+                    )
             basis.append(f)
         entries.append(SingularEntry(w, len(basis), tuple(basis)))
     return SingularReport(degree, len(generator_exponents(degree)), tuple(entries))
@@ -801,17 +800,15 @@ def laplacian_commutes_on_degree(degree: int) -> bool:
 
 
 def harmonic_witnesses(degree: int) -> List[Tuple[Tuple[int, ...], Polynomial]]:
-    """Products predicted harmonic at this degree, as (exponents, polynomial)."""
+    """Products predicted harmonic at this degree, as (exponents, polynomial):
+    x1^m1 * zeta(1)^m2 * theta()^m3 with m2 <= 1."""
     if degree < 2:
         raise ValueError("witness construction needs degree >= 2")
-    out: List[Tuple[Tuple[int, ...], Polynomial]] = []
-    for k2 in range(degree // 3 + 1):
-        k1 = degree - 3 * k2
-        out.append(((k1, 0, k2, 0, 0), generator_product((k1, 0, k2, 0, 0))))
-    for m2 in range((degree - 2) // 3 + 1):
-        m1 = degree - 2 - 3 * m2
-        out.append(((m1, 1, m2, 0, 0), generator_product((m1, 1, m2, 0, 0))))
-    return out
+    return [
+        (exps, generator_product(exps))
+        for exps in generator_exponents(degree)
+        if exps[1] <= 1 and exps[3] == exps[4] == 0
+    ]
 
 
 def harmonic_summand_bound(degree: int) -> Tuple[int, int]:

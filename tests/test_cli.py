@@ -208,6 +208,7 @@ def test_usage_errors_exit_two():
         ["singular", "--degree", str(cli.MAX_SINGULAR_DEGREE + 1)],
         ["branch", "--degree", str(cli.MAX_BRANCH_DEGREE + 1)],
         ["harmonic", "--degree", "1"],
+        ["harmonic", "--degree", str(cli.MAX_HARMONIC_DEGREE + 1)],
         ["dim", "-1", "0"],
         ["verify", "nonsense"],
         ["--json", "/nonexistent/x.json", "dim", "0", "1"],

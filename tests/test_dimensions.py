@@ -15,14 +15,19 @@ from f4poly import algebra, dimensions as dim
 SIMPLES = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
+# Test references, independent of the package's integer Weyl forms: the four
+# fundamental weights in simple-root coordinates (checked by the normalization
+# test), and rho as half the sum of the positive roots.
+FUNDAMENTAL_WEIGHTS = ((2, 3, 4, 2), (3, 6, 8, 4), (2, 4, 6, 3), (1, 2, 3, 2))
+RHO = tuple(Fraction(sum(column), 2) for column in zip(*dim.positive_roots()))
+
 
 def fraction_weyl_dim(weight):
     """Weyl product over the positive roots in Fractions: the test reference."""
-    delta = dim.weyl_vector()
-    shifted = tuple(weight[j] + delta[j] for j in range(4))
+    shifted = tuple(weight[j] + RHO[j] for j in range(4))
     value = Fraction(1)
     for root in dim.positive_roots():
-        value *= dim.inner(shifted, root) / dim.inner(delta, root)
+        value *= dim.inner(shifted, root) / dim.inner(RHO, root)
     return value
 
 
@@ -50,7 +55,7 @@ def test_positive_roots_match_folded_algebra():
 
 
 def test_fundamental_weight_normalization():
-    weights = dim.fundamental_weights()
+    weights = FUNDAMENTAL_WEIGHTS
     for i in range(4):
         for k in range(4):
             pairing = 2 * dim.inner(weights[i], SIMPLES[k]) / dim.GRAM4[k][k]
@@ -64,9 +69,9 @@ def test_fundamental_weight_normalization():
 
 
 def test_weyl_vector_pairs_to_one():
-    delta = dim.weyl_vector()
     for i in range(4):
-        assert 2 * dim.inner(delta, SIMPLES[i]) / dim.GRAM4[i][i] == 1
+        assert 2 * dim.inner(RHO, SIMPLES[i]) / dim.GRAM4[i][i] == 1
+    assert RHO == tuple(sum(column) for column in zip(*FUNDAMENTAL_WEIGHTS))
 
 
 def test_weyl_dim_headline_values():
@@ -78,13 +83,12 @@ def test_weyl_dim_headline_values():
 
 
 def test_adjoint_and_second_fundamental_dimensions():
-    weights = dim.fundamental_weights()
-    assert fraction_weyl_dim(weights[0]) == 52
-    assert fraction_weyl_dim(weights[1]) == 1274
+    assert fraction_weyl_dim(FUNDAMENTAL_WEIGHTS[0]) == 52
+    assert fraction_weyl_dim(FUNDAMENTAL_WEIGHTS[1]) == 1274
 
 
 def test_weyl_dim_matches_fraction_weyl_formula():
-    weights = dim.fundamental_weights()
+    weights = FUNDAMENTAL_WEIGHTS
     for k in range(10):
         for l in range(10):
             weight = tuple(k * weights[2][j] + l * weights[3][j] for j in range(4))
@@ -95,8 +99,7 @@ def test_coroot_forms_are_the_coroot_pairings():
     forms, denominator = dim._coroot_forms()
     assert len(forms) == 24
     assert all(c >= 1 for _, _, c in forms)
-    weights = dim.fundamental_weights()
-    vectors = (weights[2], weights[3], dim.weyl_vector())
+    vectors = (FUNDAMENTAL_WEIGHTS[2], FUNDAMENTAL_WEIGHTS[3], RHO)
     for root, form in zip(dim.positive_roots(), forms):
         assert form == tuple(2 * dim.inner(v, root) / dim.norm(root) for v in vectors)
     assert denominator == math.prod(c for _, _, c in forms)
@@ -104,7 +107,9 @@ def test_coroot_forms_are_the_coroot_pairings():
 
 def test_inexact_weyl_data_raises(monkeypatch):
     dim._coroot_forms.cache_clear()
-    monkeypatch.setattr(dim, "weyl_vector", lambda: (Fraction(1, 3),) * 4)
+    # a bogus root of norm 3: its coroot has coefficient 2/3 on alpha_1^vee
+    assert dim.norm((1, 0, 1, 0)) == 3
+    monkeypatch.setattr(dim, "positive_roots", lambda: ((1, 0, 1, 0),))
     with pytest.raises(ArithmeticError):
         dim._coroot_forms()
     monkeypatch.setattr(dim, "_coroot_forms", lambda: (((1, 0, 1),), 2))
