@@ -317,7 +317,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, lines, payload = HANDLERS[args.command](args, rng)
         sys.stdout.write("\n".join(lines) + "\n")
         if args.json_path is not None:
-            report.write(json.dumps(payload, indent=2) + "\n")
+            json.dump(payload, report, indent=2)
+            report.write("\n")
     return code
 
 

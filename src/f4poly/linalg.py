@@ -6,6 +6,14 @@ after every combination, so all intermediate entries stay integral.  Rows are
 kept in buckets by leading column, so finding the rows that meet a pivot
 column costs nothing per untouched row; the pivots and pivot rows are those
 of a plain left-to-right column scan.
+
+``nullspace`` eliminates over its columns in a fill-reducing static order,
+fewest rows first (Markowitz, "The elimination form of the inverse", 1957),
+and then reduces the kernel basis to its canonical form: the vectors with
+distinct last nonzero columns, each zero at the others' last columns.  That
+form is unique for the kernel, so it does not depend on the column order, and
+it is exactly the basis a left-to-right elimination gives, whose free column
+is a vector's last nonzero entry and the other free columns are zero.
 """
 
 from __future__ import annotations
@@ -98,11 +106,40 @@ def rank(rows: Iterable[Dict[int, object]]) -> int:
     return len(echelon(rows))
 
 
+def _column_order(rows: Sequence[Dict[int, object]], ncols: int) -> List[int]:
+    """The columns sorted by how many rows meet them, fewest first, then by
+    column: a static fill-reducing elimination order."""
+    meets = [0] * ncols
+    for row in rows:
+        for c in row:
+            meets[c] += 1
+    return sorted(range(ncols), key=lambda c: (meets[c], c))
+
+
+def _axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
+    """y += a * x in place, dropping entries that cancel."""
+    if not a:
+        return
+    for c, v in x.items():
+        w = y.get(c, 0) + a * v
+        if w:
+            y[c] = w
+        else:
+            y.pop(c, None)
+
+
 def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, ...]]:
     """Primitive integer basis of the right kernel, one vector per free column.
 
-    Vectors are length-ncols tuples; the basis is ordered by free column and
-    each vector is normalized so its first nonzero entry is positive.
+    Vectors are length-ncols tuples.  Each vector's last nonzero entry sits at
+    its free column, where the other vectors are zero; the basis is ordered by
+    free column and each vector is normalized so its first nonzero entry is
+    positive.
+
+    The elimination runs over the columns relabelled by _column_order.  Its
+    kernel basis is then reduced from the right: each vector is cleared at the
+    earlier vectors' last columns, scaled to 1 at its own last column, and
+    cleared from the earlier vectors there.
 
     Scaling the rational solution by the lcm of its denominators already
     gives a primitive vector.  For a prime p dividing that lcm, take the entry
@@ -110,9 +147,14 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
     numerator times a factor prime to p, so p does not divide it.  For any
     other prime, the free entry 1 scales to the lcm itself, prime to p.
     """
-    pivots = echelon(rows)
+    rows = list(rows)
+    order = _column_order(rows, ncols)  # label -> column
+    label = [0] * ncols
+    for lab, c in enumerate(order):
+        label[c] = lab
+    pivots = echelon({label[c]: v for c, v in row.items()} for row in rows)
     pivot_set = {c for c, _ in pivots}
-    basis: List[Tuple[int, ...]] = []
+    reduced: Dict[int, Dict[int, Fraction]] = {}  # last column -> vector, 1 there
     for free in range(ncols):
         if free in pivot_set:
             continue
@@ -126,6 +168,17 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
                     s += v * x[c]
             if s:
                 x[col] = -s / row[col]
+        kvec = {order[c]: v for c, v in x.items()}
+        for last, w in reduced.items():
+            _axpy(kvec, -kvec.get(last, 0), w)
+        last = max(kvec)
+        a = kvec[last]
+        kvec = {c: v / a for c, v in kvec.items()}
+        for w in reduced.values():
+            _axpy(w, -w.get(last, 0), kvec)
+        reduced[last] = kvec
+    basis: List[Tuple[int, ...]] = []
+    for _, x in sorted(reduced.items()):
         den = 1
         for c in x.values():
             den = den * c.denominator // gcd(den, c.denominator)

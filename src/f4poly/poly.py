@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import mul
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
@@ -441,15 +440,18 @@ def degree_weight_table(degree: int) -> Mapping[Weight, Tuple[Exponent, ...]]:
     """Dominant weight blocks of one degree: the monomials whose weight has no
     negative component, grouped by weight, keys sorted descending.
 
-    Every monomial is weighed by its packed weight (its exponents times the
-    packed variable weights, as packing is linear) and dropped unless dominant:
-    13,205 of 736,281 are kept at degree 6.  The enumeration stays whole while
-    bench/run.py's SINGULAR_ANSWERS pins poly.monomials_enumerated.  Built afresh
-    on each call, so freed with the caller's reference; read-only."""
+    Every monomial is weighed by its packed weight and dropped unless dominant:
+    13,205 of 736,281 are kept at degree 6.  monomials_of_degree walks the
+    index multisets of combinations_with_replacement(range(NVARS), degree), so
+    the same walk over the packed variable weights yields, in the same order,
+    each monomial's packed weight as a sum of `degree` terms (packing is
+    linear).  The enumeration stays whole while bench/run.py's
+    SINGULAR_ANSWERS pins poly.monomials_enumerated.  Built afresh on each
+    call, so freed with the caller's reference; read-only."""
     packed = tuple(pack_weight(w, degree) for w in VARIABLE_WEIGHTS)
+    keys_in_order = map(sum, combinations_with_replacement(packed, degree))
     blocks: Dict[int, List[Exponent] | None] = {}  # None: a weight found not dominant
-    for exp in monomials_of_degree(degree):
-        key = sum(map(mul, exp, packed))
+    for exp, key in zip(monomials_of_degree(degree), keys_in_order, strict=True):
         block = blocks.get(key, False)
         if block is False:
             block = blocks[key] = [] if min(unpack_weight(key, degree)) >= 0 else None

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import algebra, linalg, poly
 from .algebra import F4Root
@@ -799,16 +799,16 @@ def laplacian_commutes_on_degree(degree: int) -> bool:
     return True
 
 
-def harmonic_witnesses(degree: int) -> List[Tuple[Tuple[int, ...], Polynomial]]:
+def harmonic_witnesses(degree: int) -> Iterator[Tuple[Tuple[int, ...], Polynomial]]:
     """Products predicted harmonic at this degree, as (exponents, polynomial):
-    x1^m1 * zeta(1)^m2 * theta()^m3 with m2 <= 1."""
+    x1^m1 * zeta(1)^m2 * theta()^m3 with m2 <= 1, each built when reached."""
     if degree < 2:
         raise ValueError("witness construction needs degree >= 2")
-    return [
+    return (
         (exps, generator_product(exps))
         for exps in generator_exponents(degree)
         if exps[1] <= 1 and exps[3] == exps[4] == 0
-    ]
+    )
 
 
 def harmonic_summand_bound(degree: int) -> Tuple[int, int]:

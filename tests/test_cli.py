@@ -45,6 +45,20 @@ def test_singular_degree_four_output_is_pinned(tmp_path, capsys):
     )
 
 
+def test_singular_degree_five_output_is_pinned(tmp_path, capsys):
+    """SHA-256 of stdout and --json of ``--json PATH singular --degree 5``, whose
+    weight blocks include kernels of dimension above one."""
+    path = tmp_path / "singular.json"
+    assert cli.main(["--json", str(path), "singular", "--degree", "5"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "9f05c6d13454802ca7f55e41fcd23c8269965f46565b870951a0df13d502f623"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1e0df9a0ea83123ca7c00d24075ba749fcd2c203c041d31b70c92e5b873d2a03"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, out_sha, json_sha",
     [

@@ -82,6 +82,41 @@ def scan_echelon(rows):
     return pivots
 
 
+def scan_nullspace(rows, ncols):
+    """The left-to-right ``linalg.nullspace`` that the fill-reducing column order
+    replaced, kept as a reference: back-substitution over the pivots of the
+    plain column order, one vector per free column."""
+    pivots = linalg.echelon(rows)
+    pivot_set = {c for c, _ in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        x = {free: Fraction(1)}
+        for col, row in reversed(pivots):
+            if col > free:
+                continue
+            s = Fraction(0)
+            for c, v in row.items():
+                if c != col and c in x:
+                    s += v * x[c]
+            if s:
+                x[col] = -s / row[col]
+        den = 1
+        for c in x.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+        vec = [0] * ncols
+        for col, v in x.items():
+            vec[col] = int(v * den)
+        for v in vec:
+            if v:
+                if v < 0:
+                    vec = [-w for w in vec]
+                break
+        basis.append(tuple(vec))
+    return basis
+
+
 def test_rank_simple_cases():
     assert linalg.rank([]) == 0
     assert linalg.rank([{}, {}]) == 0
@@ -111,12 +146,13 @@ DENSE_ENTRIES = exact_values(3, 2, 3) + (0,) * 8
 
 
 @st.composite
-def dense_row_sets(draw):
+def dense_row_sets(draw, with_ncols=False):
     """Up to 20 rows over up to 12 columns, dense enough that pivot ties and
-    fill-in occur."""
+    fill-in occur; (rows, ncols) if with_ncols."""
     ncols = draw(st.integers(1, 12))
     row = st.lists(st.sampled_from(DENSE_ENTRIES), min_size=ncols, max_size=ncols)
-    return [{j: c for j, c in enumerate(r) if c} for r in draw(st.lists(row, max_size=20))]
+    rows = [{j: c for j, c in enumerate(r) if c} for r in draw(st.lists(row, max_size=20))]
+    return (rows, ncols) if with_ncols else rows
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -157,6 +193,19 @@ def test_nullspace_vectors_are_primitive_and_independent(case):
         assert gcd(*vec) == 1
         assert next(v for v in vec if v) > 0
     assert linalg.rank_of_vectors(kernel) == len(kernel)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.one_of(dense_row_sets(with_ncols=True), row_sets()))
+def test_nullspace_matches_scan_reference(case):
+    rows, ncols = case
+    assert linalg.nullspace(rows, ncols) == scan_nullspace(rows, ncols)
+
+
+def test_column_order_is_fewest_rows_first_then_column():
+    rows = [{0: 1, 1: 2, 3: 1}, {0: 1, 3: 5}, {0: 3, 2: 1}, {4: 1}]
+    # rows meeting columns 0..5: 3, 1, 1, 2, 1, 0
+    assert linalg._column_order(rows, 6) == [5, 1, 2, 4, 3, 0]
 
 
 def test_nullspace_known_answer():
