@@ -7,13 +7,20 @@ kept in buckets by leading column, so finding the rows that meet a pivot
 column costs nothing per untouched row; the pivots and pivot rows are those
 of a plain left-to-right column scan.
 
-``nullspace`` eliminates over its columns in a fill-reducing static order,
+``nullspace`` first runs the singleton-row step of LP presolve (Andersen and
+Andersen, "Presolving in linear programming", 1995): a row with one live
+column forces that column to zero in every kernel vector, and forcing it can
+leave other rows with one live column.  So the kernel is exactly the kernel
+of the rows over the columns left, embedded with zeros at the forced columns.
+It then eliminates over the columns left in a fill-reducing static order,
 fewest rows first (Markowitz, "The elimination form of the inverse", 1957),
-and then reduces the kernel basis to its canonical form: the vectors with
-distinct last nonzero columns, each zero at the others' last columns.  That
-form is unique for the kernel, so it does not depend on the column order, and
-it is exactly the basis a left-to-right elimination gives, whose free column
-is a vector's last nonzero entry and the other free columns are zero.
+and reduces the kernel basis to its canonical form: the vectors with distinct
+last nonzero columns, each zero at the others' last columns, primitive, with
+a positive first entry.  That form depends only on the kernel and the column
+order, so the elimination order does not change it, and it is exactly the
+basis a left-to-right elimination gives, whose free column is a vector's last
+nonzero entry and the other free columns are zero.  The embedding keeps the
+column order and adds only zeros, so the presolve does not change it either.
 """
 
 from __future__ import annotations
@@ -58,27 +65,27 @@ def echelon(rows: Iterable[Dict[int, object]]) -> List[Tuple[int, Row]]:
     it, and each row reduced against the pivot moves to the bucket of its new
     smallest column.
     """
-    buckets: Dict[int, List[Tuple[int, Row]]] = {}
+    buckets: Dict[int, List[Tuple[int, int, Row]]] = {}  # entries (len(row), idx, row)
     for idx, row in enumerate(rows):
         r = _to_int_row(row)
         if r:
-            buckets.setdefault(min(r), []).append((idx, r))
+            buckets.setdefault(min(r), []).append((len(r), idx, r))
     heap = list(buckets)
     heapify(heap)
     pivots: List[Tuple[int, Row]] = []
     while heap:
         col = heappop(heap)
         bucket = buckets.pop(col)
-        piv = min(bucket, key=lambda entry: (len(entry[1]), entry[0]))[1]
+        _, pidx, piv = min(bucket)  # idx is unique, so rows are never compared
         a = piv[col]
-        for idx, r in bucket:
-            if r is piv:
+        rest = [(c, v) for c, v in piv.items() if c != col]
+        for _, idx, r in bucket:
+            if idx == pidx:
                 continue
             b = r.pop(col)
-            out: Row = {c: a * v for c, v in r.items()}
-            for c, v in piv.items():
-                if c == col:
-                    continue
+            # Every bucketed row is echelon's own copy, so it may be reused.
+            out: Row = r if a == 1 else {c: a * v for c, v in r.items()}
+            for c, v in rest:
                 w = out.get(c, 0) - b * v
                 if w:
                     out[c] = w
@@ -89,14 +96,16 @@ def echelon(rows: Iterable[Dict[int, object]]) -> List[Tuple[int, Row]]:
             g = 0
             for v in out.values():
                 g = gcd(g, v)
+                if g == 1:
+                    break
             if g > 1:
                 for c in out:
                     out[c] //= g
             lead = min(out)
             if lead in buckets:
-                buckets[lead].append((idx, out))
+                buckets[lead].append((len(out), idx, out))
             else:
-                buckets[lead] = [(idx, out)]
+                buckets[lead] = [(len(out), idx, out)]
                 heappush(heap, lead)
         pivots.append((col, piv))
     return pivots
@@ -114,6 +123,37 @@ def _column_order(rows: Sequence[Dict[int, object]], ncols: int) -> List[int]:
         for c in row:
             meets[c] += 1
     return sorted(range(ncols), key=lambda c: (meets[c], c))
+
+
+def _singleton_presolve(rows: Sequence[Dict[int, object]], ncols: int) -> List[bool]:
+    """Which columns every kernel vector is zero at: repeatedly take a row that
+    meets exactly one live column, force that column to zero, and count it
+    out of every row that meets it.  A row with one live column meets the
+    forced columns, zero in the kernel, and that column alone, so the kernel is
+    zero there too.  Returns the forced flag of each column; the rows are
+    neither copied nor changed."""
+    meeting: List[List[int]] = [[] for _ in range(ncols)]  # column -> rows meeting it
+    live: List[int] = []  # row -> number of unforced columns it meets
+    for r, row in enumerate(rows):
+        n = 0
+        for c, v in row.items():
+            if v:
+                meeting[c].append(r)
+                n += 1
+        live.append(n)
+    forced = [False] * ncols
+    singles = [r for r, n in enumerate(live) if n == 1]
+    while singles:
+        r = singles.pop()
+        if live[r] != 1:
+            continue
+        col = next(c for c, v in rows[r].items() if v and not forced[c])
+        forced[col] = True
+        for other in meeting[col]:
+            live[other] -= 1
+            if live[other] == 1:
+                singles.append(other)
+    return forced
 
 
 def _axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
@@ -136,8 +176,9 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
     free column and each vector is normalized so its first nonzero entry is
     positive.
 
-    The elimination runs over the columns relabelled by _column_order.  Its
-    kernel basis is then reduced from the right: each vector is cleared at the
+    Columns forced to zero by _singleton_presolve are left out, and the
+    elimination runs over the other columns relabelled by _column_order, so
+    the kernel comes back with zeros at the forced columns.  Its kernel basis is then reduced from the right: each vector is cleared at the
     earlier vectors' last columns, scaled to 1 at its own last column, and
     cleared from the earlier vectors there.
 
@@ -148,14 +189,17 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
     other prime, the free entry 1 scales to the lcm itself, prime to p.
     """
     rows = list(rows)
-    order = _column_order(rows, ncols)  # label -> column
-    label = [0] * ncols
+    forced = _singleton_presolve(rows, ncols)
+    order = [c for c in _column_order(rows, ncols) if not forced[c]]  # label -> column
+    label = [-1] * ncols
     for lab, c in enumerate(order):
         label[c] = lab
-    pivots = echelon({label[c]: v for c, v in row.items()} for row in rows)
+    pivots = echelon(
+        {lab: v for c, v in row.items() if (lab := label[c]) >= 0} for row in rows
+    )
     pivot_set = {c for c, _ in pivots}
     reduced: Dict[int, Dict[int, Fraction]] = {}  # last column -> vector, 1 there
-    for free in range(ncols):
+    for free in range(len(order)):
         if free in pivot_set:
             continue
         x: Dict[int, Fraction] = {free: Fraction(1)}
@@ -192,11 +236,3 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
                 break
         basis.append(tuple(vec))
     return basis
-
-
-def rank_of_vectors(vectors: Sequence[Sequence[object]]) -> int:
-    """Rank of a list of dense coefficient sequences."""
-    rows = []
-    for vec in vectors:
-        rows.append({i: c for i, c in enumerate(vec) if c})
-    return rank(rows)

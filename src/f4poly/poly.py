@@ -108,9 +108,6 @@ class Polynomial:
         """Total degree, or -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
-
     def coefficient(self, exp: Sequence[int]) -> Coeff:
         return self.terms.get(tuple(exp), 0)
 
@@ -352,6 +349,21 @@ class Derivation:
         return "Derivation(" + (" + ".join(pieces) or "0") + ")"
 
 
+# Per variable j, the (shift, c) pairs of an operator's cells in column j.
+ShiftTable = Tuple[Tuple[Tuple[int, Coeff], ...], ...]
+
+
+def shift_table(op: Derivation, base: int) -> ShiftTable:
+    """op's cells by column, for monomials coded as the sum of e[v] * base**v:
+    entry j holds (base**i - base**j, c) for each cell (i, j, c), i increasing.
+    The cell sends x^e to c * e[j] times the monomial whose code is the code
+    of x^e plus that shift."""
+    table: List[Tuple[Tuple[int, Coeff], ...]] = [()] * NVARS
+    for j, entries in op.columns:
+        table[j] = tuple((base**i - base**j, c) for i, c in entries)
+    return tuple(table)
+
+
 def dual_op(op: Derivation) -> Derivation:
     """Conjugate a derivation by the dual involution: a signed relabelling of its
     cells, (i, j, c) -> (pair(i), pair(j), sign(i) * sign(j) * c)."""
@@ -468,16 +480,3 @@ def poly_to_json(poly: Polynomial) -> List[Dict[str, object]]:
         frac = Fraction(coeff)
         out.append({"exp": list(exp), "num": str(frac.numerator), "den": str(frac.denominator)})
     return out
-
-
-def poly_from_json(data: Iterable[Mapping[str, object]]) -> Polynomial:
-    """Inverse of poly_to_json."""
-    terms: Dict[Exponent, Coeff] = {}
-    for record in data:
-        exp = tuple(int(k) for k in record["exp"])  # type: ignore[arg-type]
-        coeff = Fraction(int(str(record["num"])), int(str(record["den"])))
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        if coeff:
-            terms[exp] = terms.get(exp, 0) + coeff
-    return Polynomial(terms)

@@ -632,39 +632,77 @@ def generator_product(exponents: Sequence[int]) -> Polynomial:
     return X(1) ** m1 * zeta(1) ** m2 * theta() ** m3 * eta1() ** m4 * eta2() ** m5
 
 
+# A monomial x^e as (code, support): the code is the sum of e[v] * base**v, the
+# support the pairs (v, e[v]) with e[v] > 0, v increasing.
+Coded = Tuple[int, Tuple[Tuple[int, int], ...]]
+
+
+def _coded(monomials: Sequence[poly.Exponent], base: int) -> List[Coded]:
+    powers = [base**v for v in range(poly.NVARS)]
+    coded = []
+    for exp in monomials:
+        support = tuple((v, k) for v, k in enumerate(exp) if k)
+        coded.append((sum(k * powers[v] for v, k in support), support))
+    return coded
+
+
+def _block_rows(coded: Sequence[Coded], tables: Sequence[poly.ShiftTable]) -> List[Dict[int, Coeff]]:
+    """The rows of one weight block: row (operator index, target code) holds, at
+    column j, the coefficient of the target in the image of monomial j.  Rows
+    appear in the order Derivation.apply writes the images, monomial by
+    monomial, then operator by operator.  A raising operator has no diagonal
+    cell (it shifts weight by a root), so distinct cells give distinct targets."""
+    rows: Dict[Tuple[int, int], Dict[int, Coeff]] = {}
+    for j, (code, support) in enumerate(coded):
+        for oi, table in enumerate(tables):
+            for v, k in support:
+                for shift, c in table[v]:
+                    rows.setdefault((oi, code + shift), {})[j] = c * k
+    return list(rows.values())
+
+
 def singular_vectors(degree: int) -> SingularReport:
     """Joint kernel of the simple raising operators, split by dominant weight.
 
     Simple operators suffice because every positive-root operator is an
     iterated commutator of them; each kernel vector is additionally checked
     against all 24 raising operators.
+
+    Both steps act on monomial codes: x^e is coded as the sum of
+    e[v] * (degree+1)**v.  Every entry of a degree-`degree` exponent is at
+    most `degree`, so these are base-(degree+1) digits and distinct monomials
+    get distinct codes; an operator cell (i, j, c) sends the code n of x^e to
+    n + (degree+1)**i - (degree+1)**j with coefficient c * e[j] (the shift
+    tables of poly.shift_table).  Only the returned basis is built as
+    polynomials.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    simples = simple_raising()
-    raisers = raising_operators()
+    base = degree + 1
+    simples = [poly.shift_table(op, base) for op in simple_raising()]
+    raisers = [poly.shift_table(op, base) for op in raising_operators()]
     entries: List[SingularEntry] = []
     for w, monomials in poly.degree_weight_table(degree).items():
-        rows: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Coeff]] = {}
-        for j, exp in enumerate(monomials):
-            mono = Polynomial.monomial(exp)
-            for oi, op in enumerate(simples):
-                image = op(mono)
-                for target, coeff in image.terms.items():
-                    rows.setdefault((oi, target), {})[j] = coeff
-        kernel = linalg.nullspace(list(rows.values()), len(monomials))
-        if not kernel:
-            continue
-        basis = []
+        coded = _coded(monomials, base)
+        kernel = linalg.nullspace(_block_rows(coded, simples), len(monomials))
         for vec in kernel:
-            f = Polynomial({monomials[j]: c for j, c in enumerate(vec) if c})
-            for op in raisers:
-                if not op(f).is_zero():
+            terms = [(coded[j], a) for j, a in enumerate(vec) if a]
+            for table in raisers:
+                image: Dict[int, Coeff] = {}
+                for (code, support), a in terms:
+                    for v, k in support:
+                        for shift, c in table[v]:
+                            target = code + shift
+                            image[target] = image.get(target, 0) + a * c * k
+                if any(image.values()):
                     raise ArithmeticError(
                         "simple-operator kernel vector not annihilated by all raising operators"
                     )
-            basis.append(f)
-        entries.append(SingularEntry(w, len(basis), tuple(basis)))
+        if kernel:
+            basis = tuple(
+                Polynomial({monomials[j]: c for j, c in enumerate(vec) if c}) for vec in kernel
+            )
+            entries.append(SingularEntry(w, len(basis), basis))
     return SingularReport(degree, len(generator_exponents(degree)), tuple(entries))
 
 

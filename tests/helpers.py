@@ -1,9 +1,12 @@
 """Helpers shared by the tests: the plain partial derivative, against which
-``Derivation.apply`` and ``representation.apply_laplacian`` are checked, and
-pools of small exact values for hypothesis to sample."""
+``Derivation.apply`` and ``representation.apply_laplacian`` are checked, the
+row assembly by ``Derivation.apply`` that ``representation.singular_vectors``
+is checked against, small functions only the tests use, and pools of small
+exact values for hypothesis to sample."""
 
 from fractions import Fraction
 
+from f4poly import linalg, representation
 from f4poly.poly import Polynomial
 
 
@@ -31,3 +34,39 @@ def exact_values(int_bound, fraction_bound, max_denominator):
         for p in range(-fraction_bound * q, fraction_bound * q + 1)
     }
     return tuple(range(-int_bound, int_bound + 1)) + tuple(sorted(fractions))
+
+
+def is_homogeneous(f):
+    return len({sum(e) for e in f.terms}) <= 1
+
+
+def poly_from_json(data):
+    """Inverse of ``poly.poly_to_json``."""
+    terms = {}
+    for record in data:
+        exp = tuple(int(k) for k in record["exp"])
+        coeff = Fraction(int(str(record["num"])), int(str(record["den"])))
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
+        if coeff:
+            terms[exp] = terms.get(exp, 0) + coeff
+    return Polynomial(terms)
+
+
+def rank_of_vectors(vectors):
+    """Rank of a list of dense coefficient sequences."""
+    return linalg.rank([{i: c for i, c in enumerate(vec) if c} for vec in vectors])
+
+
+def reference_block_rows(monomials):
+    """The rows of one weight block as ``singular_vectors`` assembled them
+    before monomial codes: each simple raising operator applied to each
+    monomial by ``Derivation.apply``, row (operator index, target exponent)
+    holding the image coefficient at the monomial's column."""
+    rows = {}
+    for j, exp in enumerate(monomials):
+        mono = Polynomial.monomial(exp)
+        for oi, op in enumerate(representation.simple_raising()):
+            for target, coeff in op(mono).terms.items():
+                rows.setdefault((oi, target), {})[j] = coeff
+    return list(rows.values())

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from f4poly import algebra, lattice, linalg, poly
+from f4poly import algebra, lattice, poly
 from f4poly.algebra import AlgebraElement, bracket
+from helpers import rank_of_vectors
 
 
 def test_labels_and_element_arithmetic():
@@ -120,7 +121,7 @@ def test_module_basis_is_odd_and_independent():
         v = algebra.v_basis(i)
         assert algebra.involution(v) == -v
         vectors.append(v.coordinates())
-    assert linalg.rank_of_vectors(vectors) == 26
+    assert rank_of_vectors(vectors) == 26
 
 
 def test_decompose_v_roundtrip_and_rejection():
@@ -201,4 +202,4 @@ def test_folded_generator_count_is_52():
         vectors.append(algebra.f4_root_vector(root4, 1).coordinates())
         vectors.append(algebra.f4_root_vector(root4, -1).coordinates())
     assert len(vectors) == 52
-    assert linalg.rank_of_vectors(vectors) == 52
+    assert rank_of_vectors(vectors) == 52

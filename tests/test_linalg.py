@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4poly import linalg
-from helpers import exact_values
+from helpers import exact_values, rank_of_vectors
 
 
 def dense_rank(rows, ncols):
@@ -192,7 +192,7 @@ def test_nullspace_vectors_are_primitive_and_independent(case):
         assert all(isinstance(v, int) for v in vec)
         assert gcd(*vec) == 1
         assert next(v for v in vec if v) > 0
-    assert linalg.rank_of_vectors(kernel) == len(kernel)
+    assert rank_of_vectors(kernel) == len(kernel)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -200,6 +200,53 @@ def test_nullspace_vectors_are_primitive_and_independent(case):
 def test_nullspace_matches_scan_reference(case):
     rows, ncols = case
     assert linalg.nullspace(rows, ncols) == scan_nullspace(rows, ncols)
+
+
+@st.composite
+def planted_singleton_sets(draw):
+    """dense_row_sets rows with up to three planted chains {a}, {a, b}, {b, c},
+    ... inserted at drawn positions, so the singleton presolve forces some,
+    all or none of the columns, often by a cascade."""
+    rows, ncols = draw(dense_row_sets(with_ncols=True))
+    entry = st.sampled_from([v for v in DENSE_ENTRIES if v])
+    for _ in range(draw(st.integers(0, 3))):
+        chain = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=ncols, unique=True))
+        planted = [{chain[0]: draw(entry)}]
+        planted += [{a: draw(entry), b: draw(entry)} for a, b in zip(chain, chain[1:])]
+        for row in planted:
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, ncols
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(planted_singleton_sets())
+def test_nullspace_with_planted_singletons_matches_scan_reference(case):
+    rows, ncols = case
+    assert linalg.nullspace(rows, ncols) == scan_nullspace(rows, ncols)
+
+
+def test_presolve_cascade_forces_every_column():
+    # {0} forces column 0, which leaves {0, 1} one live column, which forces 1,
+    # which leaves {1, 2} one live column.
+    rows = [{1: 3, 2: -1}, {0: 2, 1: 1}, {0: 5}]
+    before = [dict(r) for r in rows]
+    assert linalg._singleton_presolve(rows, 3) == [True, True, True]
+    assert linalg.nullspace(rows, 3) == []
+    assert rows == before
+
+
+def test_presolve_cascade_leaves_one_free_column():
+    # {2} forces 2, then {0, 2} forces 0, then {0, 3} forces 3; no row meets 1.
+    rows = [{0: 2, 3: 1}, {0: -1, 2: 1}, {2: 5}]
+    assert linalg._singleton_presolve(rows, 4) == [True, False, True, True]
+    assert linalg.nullspace(rows, 4) == [(0, 1, 0, 0)]
+
+
+def test_presolve_skips_explicit_zero_entries():
+    # An entry stored as 0 meets no column: {1: 0} forces nothing.
+    rows = [{1: 0}, {0: 1, 1: 0}]
+    assert linalg._singleton_presolve(rows, 2) == [True, False]
+    assert linalg.nullspace(rows, 2) == [(0, 1)]
 
 
 def test_column_order_is_fewest_rows_first_then_column():

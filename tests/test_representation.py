@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from f4poly import algebra, dimensions, poly, representation as rep
 from f4poly.poly import Derivation, Polynomial
-from helpers import exact_values, partial
+from helpers import exact_values, partial, reference_block_rows
 
 X = Polynomial.variable
 A1, A2, A3, A4 = algebra.F4_SIMPLE
@@ -201,6 +201,39 @@ def test_singular_weights_match_generator_predictions():
     report = rep.singular_vectors(3)
     found = {entry.weight: entry.dim for entry in report.entries}
     assert found == rep.predicted_weight_counts(3)
+
+
+def test_block_rows_match_derivation_apply_assembly(monkeypatch):
+    """The rows singular_vectors hands to nullspace, assembled on monomial
+    codes, are the rows Derivation.apply gives, in order, block by block."""
+    nullspace = rep.linalg.nullspace
+    seen = []
+
+    def recording_nullspace(rows, ncols):
+        seen.append(rows)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(rep.linalg, "nullspace", recording_nullspace)
+    for degree in range(5):
+        seen.clear()
+        rep.singular_vectors(degree)
+        blocks = poly.degree_weight_table(degree).values()
+        assert seen == [reference_block_rows(monomials) for monomials in blocks]
+
+
+def test_raiser_check_rejects_a_vector_outside_the_kernel(monkeypatch):
+    """A 'kernel' vector that some simple operator does not kill must make the
+    24-raiser cross-check raise."""
+
+    def unit_vector_in_a_row(rows, ncols):
+        if not rows:
+            return []
+        j = min(rows[0])
+        return [tuple(int(c == j) for c in range(ncols))]
+
+    monkeypatch.setattr(rep.linalg, "nullspace", unit_vector_in_a_row)
+    with pytest.raises(ArithmeticError):
+        rep.singular_vectors(2)
 
 
 def test_generator_products_are_singular_through_degree_5():

@@ -41,6 +41,7 @@ def test_tracer_installs_and_counts_singular_degree_3():
     assert counts["poly.monomials_enumerated"] == 3276
     assert counts["poly.dominant_monomials"] == 136
     assert report["spans"]["linalg.nullspace"][0] == 9
+    assert report["spans"]["poly.derivation_apply"][0] == 0
     assert counts["linalg.rows"] == 213
     assert counts["linalg.nonzeros"] == 465
     assert counts["linalg.kernel_dim"] == 5
