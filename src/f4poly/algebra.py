@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from . import lattice, linalg
 from .lattice import Vector
@@ -299,24 +299,6 @@ def eigenspace_dimensions() -> Tuple[int, int]:
     fixed = DIM - linalg.rank(minus_rows)
     odd = DIM - linalg.rank(plus_rows)
     return fixed, odd
-
-
-def invariant_positive_roots() -> List[Vector]:
-    """Positive roots fixed by the diagram involution."""
-    return [r for r in lattice.positive_roots() if lattice.diagram_involution(r) == r]
-
-
-def moved_positive_orbits() -> List[Tuple[Vector, Vector]]:
-    """Unordered 2-orbits of the involution on positive roots, as sorted pairs."""
-    seen = set()
-    orbits: List[Tuple[Vector, Vector]] = []
-    for r in lattice.positive_roots():
-        image = lattice.diagram_involution(r)
-        if image != r and r not in seen:
-            seen.add(r)
-            seen.add(image)
-            orbits.append((min(r, image), max(r, image)))
-    return orbits
 
 
 def fold(root: Sequence[int]) -> F4Root:

@@ -16,8 +16,9 @@ from . import algebra, checks, dimensions, lattice, poly, representation
 DEFAULT_SEED = 12345
 
 # Input ceilings, refused at parsing (exit 2) before any work.  Time of
-# ``singular`` follows the C(K+25, 25) monomials of degree K, all weighed, and
-# its memory the dominant ones it keeps; ``identity`` makes O(N^3) cheap integer
+# ``singular`` follows the C(K+25, 25) monomials of degree K, all built and
+# weighed, mostly in C (only the dominant ones reach a Python loop), and its
+# memory the dominant ones it keeps; ``identity`` makes O(N^3) cheap integer
 # ``weyl_dim`` calls; ``branch`` holds about K^4/864 generator exponent tuples;
 # ``harmonic`` multiplies out and holds every witness product, whose terms grow
 # steeply with K.  README gives the measured cost at each ceiling.

@@ -77,12 +77,6 @@ def positive_roots() -> Tuple[Root4, ...]:
     return tuple(positives)
 
 
-def long_and_short_counts() -> Tuple[int, int]:
-    longs = sum(1 for r in positive_roots() if norm(r) == 2)
-    shorts = sum(1 for r in positive_roots() if norm(r) == 1)
-    return longs, shorts
-
-
 @lru_cache(maxsize=None)
 def _coroot_forms() -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
     """Integer forms of the Weyl formula, and its denominator.
@@ -145,11 +139,6 @@ def closed_form_dim(k: int, l: int) -> int:
     if remainder:
         raise ArithmeticError("closed-form numerator not divisible by the constant")
     return quotient
-
-
-def printed_constant_ratio() -> Fraction:
-    """Value the closed form takes at (0,0) with the printed constant."""
-    return Fraction(closed_form_numerator(0, 0), PRINTED_CONSTANT)
 
 
 class TruncatedSeries(NamedTuple):
@@ -293,6 +282,3 @@ def branching_sum(degree: int) -> int:
     """Total dimension of the modules generated at this polynomial degree."""
     return sum(weyl_dim(m3, m1 + m2) for m1, m2, m3, _, _ in generator_exponents(degree))
 
-
-def branching_matches_monomial_count(degree: int) -> bool:
-    return branching_sum(degree) == math.comb(degree + 25, 25)

@@ -1,13 +1,16 @@
 """Helpers shared by the tests: the plain partial derivative, against which
 ``Derivation.apply`` and ``representation.apply_laplacian`` are checked, the
 row assembly by ``Derivation.apply`` that ``representation.singular_vectors``
-is checked against, small functions only the tests use, and pools of small
-exact values for hypothesis to sample."""
+is checked against, the plain monomial enumeration that
+``poly.monomials_of_degree`` is checked against, small functions only the
+tests use, and pools of small exact values for hypothesis to sample."""
 
+import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from f4poly import linalg, representation
-from f4poly.poly import Polynomial
+from f4poly import dimensions, lattice, linalg, representation
+from f4poly.poly import NVARS, Polynomial
 
 
 def partial(f, index):
@@ -19,6 +22,16 @@ def partial(f, index):
         if k:
             out[exp[:j] + (k - 1,) + exp[j + 1 :]] = k * coeff
     return Polynomial(out)
+
+
+def plain_monomials(d):
+    """The exponent tuples of degree d, one per index multiset of
+    combinations_with_replacement(range(NVARS), d), in that order."""
+    for combo in combinations_with_replacement(range(NVARS), d):
+        exp = [0] * NVARS
+        for j in combo:
+            exp[j] += 1
+        yield tuple(exp)
 
 
 def exact_values(int_bound, fraction_bound, max_denominator):
@@ -70,3 +83,35 @@ def reference_block_rows(monomials):
             for target, coeff in op(mono).terms.items():
                 rows.setdefault((oi, target), {})[j] = coeff
     return list(rows.values())
+
+
+def long_and_short_counts():
+    """Long (norm 2) and short (norm 1) positive F4 roots."""
+    norms = [dimensions.norm(r) for r in dimensions.positive_roots()]
+    return norms.count(2), norms.count(1)
+
+
+def printed_constant_ratio():
+    """Value the closed form takes at (0,0) with the printed constant."""
+    return Fraction(dimensions.closed_form_numerator(0, 0), dimensions.PRINTED_CONSTANT)
+
+
+def branching_matches_monomial_count(degree):
+    return dimensions.branching_sum(degree) == math.comb(degree + 25, 25)
+
+
+def invariant_positive_roots():
+    """Positive E6 roots fixed by the diagram involution."""
+    return [r for r in lattice.positive_roots() if lattice.diagram_involution(r) == r]
+
+
+def moved_positive_orbits():
+    """Unordered 2-orbits of the involution on positive roots, as sorted pairs."""
+    seen = set()
+    orbits = []
+    for r in lattice.positive_roots():
+        image = lattice.diagram_involution(r)
+        if image != r and r not in seen:
+            seen.update((r, image))
+            orbits.append((min(r, image), max(r, image)))
+    return orbits

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from f4poly import checks, cli, dimensions, lattice, poly, representation
+from helpers import branching_matches_monomial_count, printed_constant_ratio
 
 
 def _report(name: str, ok: bool) -> bool:
@@ -107,7 +108,7 @@ def test_criterion_07_dimension_formula_and_constant():
     for k in range(6):
         for l in range(6):
             ok = ok and dimensions.closed_form_dim(k, l) == dimensions.weyl_dim(k, l)
-    ratio = dimensions.printed_constant_ratio()
+    ratio = printed_constant_ratio()
     ok = ok and dimensions.PRINTED_CONSTANT == 39_504_568_320_000
     ok = ok and ratio == Fraction(11, 36) and ratio.denominator != 1
     assert _report(
@@ -128,7 +129,7 @@ def test_criterion_08_identity_about_twenty_four():
 
 
 def test_criterion_09_branching_counts():
-    ok = all(dimensions.branching_matches_monomial_count(k) for k in range(9))
+    ok = all(branching_matches_monomial_count(k) for k in range(9))
     ok = ok and dimensions.branching_sum(8) == math.comb(33, 25)
     assert _report("criterion 9: branching totals match monomial counts to degree 8", ok)
 

@@ -6,7 +6,7 @@ import pytest
 
 from f4poly import algebra, lattice, poly
 from f4poly.algebra import AlgebraElement, bracket
-from helpers import rank_of_vectors
+from helpers import invariant_positive_roots, moved_positive_orbits, rank_of_vectors
 
 
 def test_labels_and_element_arithmetic():
@@ -72,8 +72,8 @@ def test_cached_tables_are_read_only():
 
 
 def test_positive_root_split():
-    invariant = algebra.invariant_positive_roots()
-    orbits = algebra.moved_positive_orbits()
+    invariant = invariant_positive_roots()
+    orbits = moved_positive_orbits()
     assert len(invariant) == 12
     assert len(orbits) == 12
     assert len({r for pair in orbits for r in pair}) == 24
@@ -100,7 +100,7 @@ def test_fold_and_fibers():
     assert len(singles) == 12 and len(doubles) == 12
     # The fibers cover the invariant positives and the moved orbits exactly.
     assert {r for r in seen if lattice.diagram_involution(r) == r} == set(
-        algebra.invariant_positive_roots()
+        invariant_positive_roots()
     )
     assert len(seen) == 36
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4poly import algebra, dimensions as dim
+from helpers import branching_matches_monomial_count, long_and_short_counts, printed_constant_ratio
 
 
 SIMPLES = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
@@ -45,7 +46,7 @@ def test_gram_matrix_shape():
 def test_positive_roots_count_and_norms():
     roots = dim.positive_roots()
     assert len(roots) == 24
-    assert dim.long_and_short_counts() == (12, 12)
+    assert long_and_short_counts() == (12, 12)
     for root in roots:
         assert dim.norm(root) in (1, 2)
 
@@ -131,7 +132,7 @@ def test_closed_form_numerator_examples():
 
 
 def test_printed_constant_is_inconsistent():
-    ratio = dim.printed_constant_ratio()
+    ratio = printed_constant_ratio()
     assert ratio == Fraction(11, 36)
     assert ratio.denominator != 1
     assert dim.PRINTED_CONSTANT * 11 == dim.CORRECTED_CONSTANT * 36
@@ -216,7 +217,7 @@ def test_branching_sum_examples():
 
 def test_branching_matches_monomial_count_through_8():
     for degree in range(9):
-        assert dim.branching_matches_monomial_count(degree)
+        assert branching_matches_monomial_count(degree)
 
 
 def test_generator_exponents_counts():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from f4poly import poly
 from f4poly.poly import Derivation, Polynomial
-from helpers import exact_values, is_homogeneous, partial, poly_from_json
+from helpers import exact_values, is_homogeneous, partial, plain_monomials, poly_from_json
 
 
 def x(i):
@@ -197,6 +197,13 @@ def test_monomial_enumeration_counts():
     for k in range(4):
         count = sum(1 for _ in poly.monomials_of_degree(k))
         assert count == comb(k + 25, 25)
+    assert list(poly.monomials_of_degree(-1)) == []
+
+
+def test_monomials_of_degree_matches_plain_enumeration():
+    """The head and tail blocks join into the plain enumeration, order included."""
+    for d in range(6):
+        assert list(poly.monomials_of_degree(d)) == list(plain_monomials(d))
 
 
 def test_degree_weight_table():
@@ -213,12 +220,14 @@ def test_degree_weight_table():
     # x26 and x26^2 weigh (0, 0, 0, -1) and (0, 0, 0, -2): not dominant, so dropped
     assert (0, 0, 0, -2) not in table and (0, 0, 0, -1) not in poly.degree_weight_table(1)
     assert (9, 9, 9, 9) not in poly.degree_weight_table(1)
+    with pytest.raises(ValueError):
+        poly.degree_weight_table(-1)
 
 
 def test_degree_weight_table_matches_plain_grouping():
     for d in range(5):
         groups = {}
-        for exp in poly.monomials_of_degree(d):
+        for exp in plain_monomials(d):
             groups.setdefault(poly.exponent_weight(exp), []).append(exp)
         expected = {w: tuple(groups[w]) for w in sorted(groups, reverse=True) if min(w) >= 0}
         table = poly.degree_weight_table(d)

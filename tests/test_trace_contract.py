@@ -47,6 +47,19 @@ def test_tracer_installs_and_counts_singular_degree_3():
     assert counts["linalg.kernel_dim"] == 5
 
 
+def test_tracer_counts_singular_degree_4_gate():
+    """``singular --degree 4`` reproduces the counts bench/run.py pins for it:
+    monomials weighed, dominant monomials kept, one nullspace per dominant
+    weight block, the kernel dimension and the operator builds."""
+    report = traced("cli.main(['singular', '--degree', '4'])")
+    counts = report["counts"]
+    assert counts["poly.monomials_enumerated"] == 23751
+    assert counts["poly.dominant_monomials"] == 709
+    assert report["spans"]["linalg.nullspace"][0] == 16
+    assert counts["linalg.kernel_dim"] == 8
+    assert report["spans"]["representation.oracle_operator"][0] == 28
+
+
 def test_tracer_counts_identity_branch_gate():
     """``identity --order 60`` makes the weyl_dim calls the identity-branch gate pins."""
     report = traced("cli.main(['identity', '--order', '60'])")
