@@ -55,7 +55,7 @@ class AlgebraElement:
         self.terms = clean
 
     @classmethod
-    def _raw(cls, terms: Dict[Label, Coeff]) -> "AlgebraElement":
+    def _raw(cls, terms: Mapping[Label, Coeff]) -> "AlgebraElement":
         out = cls.__new__(cls)
         out.terms = terms
         return out
@@ -75,13 +75,6 @@ class AlgebraElement:
         if len(coeffs) != 6:
             raise ValueError("a diagonal element needs six coefficients")
         return cls({("h", i + 1): c for i, c in enumerate(coeffs)})
-
-    @classmethod
-    def root_vector(cls, root: Sequence[int]) -> "AlgebraElement":
-        root = tuple(root)
-        if root not in lattice.root_set():
-            raise ValueError(f"{root} is not a root")
-        return cls._raw({("e", root): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -379,20 +372,20 @@ _V_SEED: Tuple[Vector, ...] = (
 
 @lru_cache(maxsize=None)
 def v_basis(i: int) -> AlgebraElement:
-    """The i-th basis element (1..26) of the 26-dimensional module."""
+    """The i-th basis element (1..26) of the 26-dimensional module.
+
+    The element is cached and shared, so its terms are a read-only mapping.
+    """
     if not 1 <= i <= 26:
         raise ValueError(f"module basis index must be in 1..26, got {i}")
     if i == 13:
-        return AlgebraElement.cartan((1, 0, 0, 0, 0, -1))
-    if i == 14:
-        return AlgebraElement.cartan((0, 0, 1, 0, -1, 0))
-    if i <= 12:
-        seed = _V_SEED[i - 1]
-        mate = lattice.diagram_involution(seed)
+        terms = AlgebraElement.cartan((1, 0, 0, 0, 0, -1)).terms
+    elif i == 14:
+        terms = AlgebraElement.cartan((0, 0, 1, 0, -1, 0)).terms
     else:
-        seed = lattice.neg(_V_SEED[26 - i])
-        mate = lattice.diagram_involution(seed)
-    return AlgebraElement._raw({("e", seed): 1, ("e", mate): -1})
+        seed = _V_SEED[i - 1] if i <= 12 else lattice.neg(_V_SEED[26 - i])
+        terms = {("e", seed): 1, ("e", lattice.diagram_involution(seed)): -1}
+    return AlgebraElement._raw(MappingProxyType(terms))
 
 
 @lru_cache(maxsize=None)

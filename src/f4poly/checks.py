@@ -106,13 +106,12 @@ def rep_checks(rng: random.Random) -> List[Check]:
         ("E-(0,1,1,0)", 5, 3, "-1", "1"),
         ("E-(0,1,1,0)", 24, 22, "1", "-1"),
     }
-    comm_ok = True
-    for i, root in enumerate(algebra.F4_SIMPLE, start=1):
-        raising = representation.operator(("e", root, 1))
-        lowering = representation.operator(("e", root, -1))
-        comm = raising.commutator(lowering).matrix()
-        cartan = representation.operator(("h", i)).matrix()
-        comm_ok = comm_ok and comm == [[-entry for entry in row] for row in cartan]
+    # [raising, lowering] = -h is checked as [lowering, raising] = h.
+    comm_ok = all(
+        representation.operator(("e", root, -1)).commutator(representation.operator(("e", root, 1)))
+        == representation.operator(("h", i))
+        for i, root in enumerate(algebra.F4_SIMPLE, start=1)
+    )
     leibniz_ok = True
     for label in (labels[0], labels[11], labels[30]):
         op = representation.operator(label)

@@ -238,12 +238,14 @@ class IdentityFamilyReport(NamedTuple):
     order: int
     binomial_route: bool
     convolution_route: bool
-    product_route: bool
+    convolution: TruncatedSeries
+    product: IdentityReport
     passed: bool
 
 
 def verify_identity_26(order: int) -> IdentityFamilyReport:
-    """Check the 26-variable identity in three equivalent cleared forms."""
+    """Check the 26-variable identity in three equivalent cleared forms,
+    keeping route 2's series and route 3's report (which needs order >= 3)."""
     series = rhs_series(order)
     # Route 1: 1/((1-t^2)(1-t^3)) * series has coefficients C(n+25, 25).
     lhs = _inverse_one_minus_t_k(2, order) * _inverse_one_minus_t_k(3, order) * series
@@ -252,17 +254,17 @@ def verify_identity_26(order: int) -> IdentityFamilyReport:
     )
     # Route 2: series equals (1+2t+2t^2+t^3) * 1/(1-t)^24 by convolution.
     quartic = TruncatedSeries.from_coeffs(order, (1, 2, 2, 1))
-    convolution_route = (
-        quartic * inverse_one_minus_t_power(24, order)
-    ).coeffs == series.coeffs
+    convolution = quartic * inverse_one_minus_t_power(24, order)
+    convolution_route = convolution.coeffs == series.coeffs
     # Route 3: the degree-24 product form.
-    product_route = verify_identity_24(order).passed if order >= 3 else True
+    product = verify_identity_24(order)
     return IdentityFamilyReport(
         order,
         binomial_route,
         convolution_route,
-        product_route,
-        binomial_route and convolution_route and product_route,
+        convolution,
+        product,
+        binomial_route and convolution_route and product.passed,
     )
 
 

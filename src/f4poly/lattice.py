@@ -58,15 +58,20 @@ def neg(v: Vector) -> Vector:
     return (-v[0], -v[1], -v[2], -v[3], -v[4], -v[5])
 
 
-def inner(u: Vector, v: Vector) -> int:
-    """Bilinear form u^T GRAM v."""
+def _bilinear(form: tuple[Vector, ...], u: Vector, v: Vector) -> int:
+    """u^T form v."""
     total = 0
     for i, ui in enumerate(u):
         if ui:
-            row = GRAM[i]
+            row = form[i]
             total += ui * (row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
                            + row[3] * v[3] + row[4] * v[4] + row[5] * v[5])
     return total
+
+
+def inner(u: Vector, v: Vector) -> int:
+    """Bilinear form u^T GRAM v."""
+    return _bilinear(GRAM, u, v)
 
 
 @lru_cache(maxsize=None)
@@ -124,17 +129,7 @@ def diagram_involution(v: Vector) -> Vector:
     return (v[5], v[1], v[4], v[3], v[2], v[0])
 
 
-def cocycle_exponent(u: Vector, v: Vector) -> int:
-    e = 0
-    for i in range(6):
-        ui = u[i]
-        if ui:
-            row = COCYCLE_FORM[i]
-            e += ui * (row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
-                       + row[3] * v[3] + row[4] * v[4] + row[5] * v[5])
-    return e & 1
-
-
 def cocycle(u: Vector, v: Vector) -> int:
-    """Sign cocycle fixing the Lie structure constants: +1 or -1."""
-    return -1 if cocycle_exponent(u, v) else 1
+    """Sign cocycle fixing the Lie structure constants: +1 or -1, by the
+    parity of u^T COCYCLE_FORM v."""
+    return -1 if _bilinear(COCYCLE_FORM, u, v) & 1 else 1

@@ -73,7 +73,7 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def _raw(cls, terms: Dict[Exponent, Coeff]) -> "Polynomial":
+    def _raw(cls, terms: Mapping[Exponent, Coeff]) -> "Polynomial":
         out = cls.__new__(cls)
         out.terms = terms
         return out

@@ -277,19 +277,25 @@ def zeta_printed(r: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def zeta(r: int) -> Polynomial:
-    """The r-th member (1..26) of the quadratic copy of the module basis."""
+    """The r-th member (1..26) of the quadratic copy of the module basis.
+
+    The polynomial is cached and shared, so its terms are a read-only mapping.
+    """
     if not 1 <= r <= 26:
         raise ValueError(f"index must be in 1..26, got {r}")
     if r == 1:
-        return zeta_printed(1)
-    if r <= 14:
+        f = zeta_printed(1)
+    elif r <= 14:
         gen_index, source, scalar = _ZETA_RULES[r]
         lower = operator(("e", algebra.F4_SIMPLE[gen_index - 1], -1))
-        return scalar * lower(zeta(source))
-    # The mirror rule needs a global minus sign on the lower half: only then
-    # does x_i -> zeta(i) intertwine every operator (the bare mirror breaks
-    # the copy at indices 13..16 and destroys invariance of the cubic form).
-    return -poly.dual(zeta(27 - r))
+        f = scalar * lower(zeta(source))
+    else:
+        # The mirror rule needs a global minus sign on the lower half: only
+        # then does x_i -> zeta(i) intertwine every operator (the bare mirror
+        # breaks the copy at indices 13..16 and destroys invariance of the
+        # cubic form).
+        f = -poly.dual(zeta(27 - r))
+    return Polynomial._raw(MappingProxyType(f.terms))
 
 
 def theta() -> Polynomial:
@@ -401,59 +407,55 @@ class IdentityCheck(NamedTuple):
     diff: Polynomial
 
 
-class EliminationIdentity(NamedTuple):
-    name: str
-    lhs: Polynomial
-    head: Polynomial
-    rest: Polynomial
-    correction: str
-    corrected: Optional[Tuple[Polynomial, Polynomial, Polynomial]]
+def verify_elimination_identities() -> List[IdentityCheck]:
+    """Check each printed elimination identity lhs = head + rest exactly, with
+    the head constructed and the rest as printed.
 
-
-def _elimination_data() -> List[EliminationIdentity]:
-    """Each printed identity as (lhs, constructed head, printed remainder).
-
-    Two of the printed identities carry machine-confirmed sign slips; those
-    entries also record the single-sign-corrected variant and a description
-    of the correction.
+    Two of the printed identities carry machine-confirmed sign slips; their
+    checks also describe the correction and report whether the corrected
+    variant holds (``corrected`` is its lhs - (head + rest)).  Each check
+    keeps the exact verbatim difference.
     """
     pairs = poly.from_pairs
-    data: List[EliminationIdentity] = []
+    results: List[IdentityCheck] = []
 
-    def plain(name: str, lhs: Polynomial, head: Polynomial, rest: Polynomial) -> None:
-        data.append(EliminationIdentity(name, lhs, head, rest, "", None))
+    def check(name: str, lhs: Polynomial, head: Polynomial, rest: Polynomial,
+              correction: str = "", corrected: Optional[Polynomial] = None) -> None:
+        diff = lhs - (head + rest)
+        fixed = corrected is not None and corrected.is_zero()
+        results.append(IdentityCheck(name, diff.is_zero(), correction, fixed, diff))
 
-    plain(
+    check(
         "x1*x14",
         X(1) * X(14),
         zeta(1),
         pairs(((-2, (1, 13)), (3, (2, 12)), (3, (3, 10)), (-3, (4, 8)), (3, (5, 6)))),
     )
-    plain(
+    check(
         "3*x1*x15",
         3 * X(1) * X(15),
         zeta(2),
         pairs(((1, (2, 13)), (-1, (2, 14)), (3, (3, 11)), (-3, (4, 9)), (3, (6, 7)))),
     )
-    plain(
+    check(
         "3*x1*x17",
         3 * X(1) * X(17),
         zeta(3),
         pairs(((1, (3, 13)), (2, (3, 14)), (-3, (2, 16)), (-3, (5, 9)), (3, (7, 8)))),
     )
-    plain(
+    check(
         "3*x1*x19",
         3 * X(1) * X(19),
         -zeta(4),
         pairs(((3, (5, 11)), (-1, (4, 13)), (-2, (4, 14)), (-3, (2, 18)), (-3, (7, 10)))),
     )
-    plain(
+    check(
         "3*x1*x21",
         3 * X(1) * X(21),
         zeta(5),
         pairs(((1, (5, 13)), (-1, (5, 14)), (3, (3, 18)), (3, (4, 16)), (-3, (7, 12)))),
     )
-    plain(
+    check(
         "3*x1*x22",
         3 * X(1) * X(22),
         zeta(6),
@@ -462,17 +464,12 @@ def _elimination_data() -> List[EliminationIdentity]:
     lhs7 = 3 * X(1) * X(23)
     head7 = zeta(8)
     rest7 = pairs(((1, (8, 13)), (-1, (8, 14)), (-3, (3, 20)), (3, (6, 16)), (-3, (9, 12))))
-    data.append(
-        EliminationIdentity(
-            "3*x1*x23",
-            lhs7,
-            head7,
-            rest7,
-            "printed right-hand side equals minus the left-hand side (one side sign slip)",
-            (-lhs7, head7, rest7),
-        )
+    check(
+        "3*x1*x23", lhs7, head7, rest7,
+        "printed right-hand side equals minus the left-hand side (one side sign slip)",
+        -lhs7 - (head7 + rest7),
     )
-    plain(
+    check(
         "3*x1*x24",
         3 * X(1) * X(24),
         zeta(10),
@@ -482,7 +479,7 @@ def _elimination_data() -> List[EliminationIdentity]:
     for r in range(3, 13):
         rest9 = rest9 - 3 * X(r) * X(27 - r)
     rest9 = rest9 + X(13) ** 2 + X(13) * X(14) + X(14) ** 2
-    plain("3*x2*x25 + 3*x1*x26", 3 * X(2) * X(25) + 3 * X(1) * X(26), eta1(), rest9)
+    check("3*x2*x25 + 3*x1*x26", 3 * X(2) * X(25) + 3 * X(1) * X(26), eta1(), rest9)
 
     lhs10 = (
         3 * (3 * pairs(((1, (1, 15)), (1, (3, 11)), (-1, (4, 9)), (1, (6, 7)))) + X(2) * (X(13) + 2 * X(14))) * X(25)
@@ -511,35 +508,11 @@ def _elimination_data() -> List[EliminationIdentity]:
     # of the cubic form (whose own deviation from the invariant is logged
     # separately), so that expansion is the head it must be read against.
     head10 = eta2_printed()
-    data.append(
-        EliminationIdentity(
-            "long elimination of x25/x26",
-            lhs10,
-            head10,
-            rest10,
-            "sign of the 3*x14*[...] bracket term (one printed sign slip)",
-            (lhs10, head10, rest10 + 6 * X(14) * _eta2_bracket_14()),
-        )
+    check(
+        "long elimination of x25/x26", lhs10, head10, rest10,
+        "sign of the 3*x14*[...] bracket term (one printed sign slip)",
+        lhs10 - (head10 + rest10 + 6 * X(14) * _eta2_bracket_14()),
     )
-    return data
-
-
-def verify_elimination_identities() -> List[IdentityCheck]:
-    """Check each printed elimination identity exactly.
-
-    An identity with a machine-confirmed printed sign slip carries the
-    corrected variant; the check reports both the verbatim result and the
-    corrected one, together with the exact verbatim difference.
-    """
-    results: List[IdentityCheck] = []
-    for item in _elimination_data():
-        diff = item.lhs - (item.head + item.rest)
-        holds = diff.is_zero()
-        fixed = False
-        if item.corrected is not None:
-            c_lhs, c_head, c_rest = item.corrected
-            fixed = (c_lhs - (c_head + c_rest)).is_zero()
-        results.append(IdentityCheck(item.name, holds, item.correction, fixed, diff))
     return results
 
 
@@ -616,14 +589,6 @@ class SingularReport(NamedTuple):
 def predicted_weight(exponents: Sequence[int]) -> Tuple[int, int, int, int]:
     m1, m2, m3, m4, m5 = exponents
     return (0, 0, m3, m1 + m2)
-
-
-def predicted_weight_counts(degree: int) -> Dict[Tuple[int, int, int, int], int]:
-    counts: Dict[Tuple[int, int, int, int], int] = {}
-    for exps in generator_exponents(degree):
-        w = predicted_weight(exps)
-        counts[w] = counts.get(w, 0) + 1
-    return counts
 
 
 def generator_product(exponents: Sequence[int]) -> Polynomial:

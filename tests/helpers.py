@@ -6,10 +6,12 @@ is checked against, the plain monomial enumeration that
 tests use, and pools of small exact values for hypothesis to sample."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from f4poly import dimensions, lattice, linalg, representation
+from f4poly.algebra import AlgebraElement
 from f4poly.poly import NVARS, Polynomial
 
 
@@ -115,3 +117,17 @@ def moved_positive_orbits():
             seen.update((r, image))
             orbits.append((min(r, image), max(r, image)))
     return orbits
+
+
+def root_vector(root):
+    """The basis element of the 78-dimensional algebra at a rank-6 root."""
+    root = tuple(root)
+    if root not in lattice.root_set():
+        raise ValueError(f"{root} is not a root")
+    return AlgebraElement._raw({("e", root): 1})
+
+
+def predicted_weight_counts(degree):
+    """Number of generator products at each predicted weight of this degree."""
+    exponents = dimensions.generator_exponents(degree)
+    return dict(Counter(map(representation.predicted_weight, exponents)))

@@ -6,14 +6,14 @@ import pytest
 
 from f4poly import algebra, lattice, poly
 from f4poly.algebra import AlgebraElement, bracket
-from helpers import invariant_positive_roots, moved_positive_orbits, rank_of_vectors
+from helpers import invariant_positive_roots, moved_positive_orbits, rank_of_vectors, root_vector
 
 
 def test_labels_and_element_arithmetic():
     labs = algebra.labels()
     assert labs[0] == ("h", 1)
     h1 = AlgebraElement.coroot(1)
-    e = AlgebraElement.root_vector(lattice.simple_root(1))
+    e = root_vector(lattice.simple_root(1))
     combo = 2 * h1 - e
     assert combo.terms[("h", 1)] == 2
     assert combo - combo == AlgebraElement.zero()
@@ -24,21 +24,21 @@ def test_bracket_conventions():
     a1 = lattice.simple_root(1)
     a3 = lattice.simple_root(3)
     h1 = AlgebraElement.coroot(1)
-    e1 = AlgebraElement.root_vector(a1)
+    e1 = root_vector(a1)
     # Diagonal action: [h, e_a] = (h, a) e_a.
     assert bracket(h1, e1) == 2 * e1
     assert bracket(AlgebraElement.coroot(3), e1) == -e1
     assert bracket(AlgebraElement.coroot(2), e1) == AlgebraElement.zero()
     # Opposite root vectors bracket to the negated coroot combination.
-    f1 = AlgebraElement.root_vector(lattice.neg(a1))
+    f1 = root_vector(lattice.neg(a1))
     assert bracket(e1, f1) == -h1
     # Root addition picks up the sign cocycle.
-    e3 = AlgebraElement.root_vector(a3)
+    e3 = root_vector(a3)
     sum_root = lattice.add(a1, a3)
-    assert bracket(e1, e3) == -AlgebraElement.root_vector(sum_root)
-    assert bracket(e3, e1) == AlgebraElement.root_vector(sum_root)
+    assert bracket(e1, e3) == -root_vector(sum_root)
+    assert bracket(e3, e1) == root_vector(sum_root)
     # Non-root sums vanish.
-    e5 = AlgebraElement.root_vector(lattice.simple_root(5))
+    e5 = root_vector(lattice.simple_root(5))
     assert bracket(e1, e5) == AlgebraElement.zero()
 
 
@@ -139,16 +139,30 @@ def test_decompose_v_roundtrip_and_rejection():
         assert False, "expected ValueError"
     # A root vector at an involution-fixed root is outside the module.
     try:
-        algebra.decompose_v(AlgebraElement.root_vector(lattice.simple_root(2)))
+        algebra.decompose_v(root_vector(lattice.simple_root(2)))
     except ValueError:
         pass
     else:
         assert False, "expected ValueError"
 
 
+def test_cached_module_basis_is_immutable():
+    element = algebra.v_basis(1)
+    before = dict(element.terms)
+    label = next(iter(before))
+    with pytest.raises(TypeError):
+        element.terms[label] = 2
+    with pytest.raises(TypeError):
+        del element.terms[label]
+    for method in ("clear", "pop", "popitem", "update", "setdefault"):
+        assert not hasattr(element.terms, method)
+    assert algebra.v_basis(1).terms == before
+    assert algebra.ad_on_v(algebra.f4_cartan(4))[0][0] == 1
+
+
 def test_ad_on_v_requires_fixed_element():
     try:
-        algebra.ad_on_v(AlgebraElement.root_vector(lattice.simple_root(1)))
+        algebra.ad_on_v(root_vector(lattice.simple_root(1)))
     except ValueError:
         pass
     else:

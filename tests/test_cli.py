@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from f4poly import cli, representation
+from f4poly import cli, dimensions, representation
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -87,6 +87,47 @@ def test_dimension_output_is_pinned(tmp_path, capsys, argv, out_sha, json_sha):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == out_sha
     assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+
+
+def test_errata_output_is_pinned(tmp_path, capsys):
+    """SHA-256 of stdout and --json of ``--json PATH errata``: every printed
+    formula deviation, the two elimination sign slips among them."""
+    path = tmp_path / "errata.json"
+    assert cli.main(["--json", str(path), "errata"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "a164b07d26ab5de3db2fce6257225e9a5afc09d2d812f33e07a865185da8333e"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6c6692041608c8ee30418d8cf074ef3c799904690ae1662a4fe6a687528393f2"
+    )
+
+
+def test_singular_fails_when_products_do_not_span(monkeypatch, capsys):
+    monkeypatch.setattr(representation, "products_span_kernels", lambda report: False)
+    assert cli.main(["singular", "--degree", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "generator products span the kernels: FAIL" in out
+    assert "singular check: FAIL" in out
+
+
+def test_identity_fails_on_a_wrong_series_coefficient(monkeypatch, tmp_path, capsys):
+    exact = dimensions.rhs_series
+
+    def off_by_one(order):
+        coeffs = list(exact(order).coeffs)
+        coeffs[5] += 1
+        return dimensions.TruncatedSeries(order, tuple(coeffs))
+
+    monkeypatch.setattr(dimensions, "rhs_series", off_by_one)
+    path = tmp_path / "identity.json"
+    assert cli.main(["identity", "--order", "30", "--json", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "product equals 1 + 2t + 2t^2 + t^3: FAIL" in out
+    assert "identity: FAIL" in out
+    payload = json.loads(path.read_text())
+    assert payload["pass"] is False
+    assert payload["first_mismatch"] == 5
 
 
 @pytest.mark.parametrize("module", ["f4poly", "f4poly.cli"])

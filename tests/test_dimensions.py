@@ -204,7 +204,7 @@ def test_identity_24_through_order_30():
 
 def test_identity_26_routes_agree():
     report = dim.verify_identity_26(24)
-    assert report.binomial_route == report.convolution_route == report.product_route
+    assert report.binomial_route == report.convolution_route == report.product.passed
     assert report.passed
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from f4poly import algebra, dimensions, poly, representation as rep
 from f4poly.poly import Derivation, Polynomial
-from helpers import exact_values, partial, reference_block_rows
+from helpers import exact_values, partial, predicted_weight_counts, reference_block_rows
 
 X = Polynomial.variable
 A1, A2, A3, A4 = algebra.F4_SIMPLE
@@ -55,6 +55,20 @@ def test_cached_operators_are_immutable():
     with pytest.raises(AttributeError):
         del op.columns
     assert rep.operator(("h", 1)).matrix() == before
+
+
+def test_cached_quadratic_copy_is_immutable():
+    f = rep.zeta(1)
+    before = dict(f.terms)
+    exp = next(iter(before))
+    with pytest.raises(TypeError):
+        f.terms[exp] = 0
+    with pytest.raises(TypeError):
+        del f.terms[exp]
+    for method in ("clear", "pop", "popitem", "update", "setdefault"):
+        assert not hasattr(f.terms, method)
+    assert rep.zeta(1).terms == before
+    assert rep.theta() == rep.theta_printed()
 
 
 def test_cached_errata_records_are_read_only():
@@ -162,6 +176,16 @@ def test_elimination_identities():
     assert checks["3*x1*x23"].diff == 6 * X(1) * X(23)
 
 
+def test_elimination_correction_is_checked(monkeypatch):
+    """A wrong head breaks the sign-slipped identity in both readings."""
+    exact = rep.zeta
+    monkeypatch.setattr(rep, "zeta", lambda r: exact(r) + X(1) ** 2 if r == 8 else exact(r))
+    checks = {c.name: c for c in rep.verify_elimination_identities()}
+    assert not checks["3*x1*x23"].holds
+    assert not checks["3*x1*x23"].holds_with_correction
+    assert checks["long elimination of x25/x26"].holds_with_correction
+
+
 def test_formula_errata_labels():
     labels = [r["label"] for r in rep.formula_errata()]
     assert labels.count("cubic invariant expansion") == 1
@@ -173,7 +197,7 @@ def test_formula_errata_labels():
 
 
 def test_predicted_counts():
-    assert [rep.predicted_weight_counts(k) and sum(rep.predicted_weight_counts(k).values()) for k in range(5)] == [
+    assert [predicted_weight_counts(k) and sum(predicted_weight_counts(k).values()) for k in range(5)] == [
         1,
         1,
         3,
@@ -200,7 +224,7 @@ def test_singular_vectors_degrees_0_to_3():
 def test_singular_weights_match_generator_predictions():
     report = rep.singular_vectors(3)
     found = {entry.weight: entry.dim for entry in report.entries}
-    assert found == rep.predicted_weight_counts(3)
+    assert found == predicted_weight_counts(3)
 
 
 def test_block_rows_match_derivation_apply_assembly(monkeypatch):
