@@ -370,11 +370,27 @@ _V_SEED: Tuple[Vector, ...] = (
 )
 
 
+class _SharedElement(AlgebraElement):
+    """An element that a cache hands to every caller: its terms are a
+    read-only mapping, and the attribute cannot be rebound or deleted."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Label, Coeff]) -> None:
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a cached algebra element is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a cached algebra element is read-only")
+
+
 @lru_cache(maxsize=None)
 def v_basis(i: int) -> AlgebraElement:
     """The i-th basis element (1..26) of the 26-dimensional module.
 
-    The element is cached and shared, so its terms are a read-only mapping.
+    The element is cached and shared, so it is read-only.
     """
     if not 1 <= i <= 26:
         raise ValueError(f"module basis index must be in 1..26, got {i}")
@@ -385,7 +401,7 @@ def v_basis(i: int) -> AlgebraElement:
     else:
         seed = _V_SEED[i - 1] if i <= 12 else lattice.neg(_V_SEED[26 - i])
         terms = {("e", seed): 1, ("e", lattice.diagram_involution(seed)): -1}
-    return AlgebraElement._raw(MappingProxyType(terms))
+    return _SharedElement(terms)
 
 
 @lru_cache(maxsize=None)

@@ -7,27 +7,29 @@ kept in buckets by leading column, so finding the rows that meet a pivot
 column costs nothing per untouched row; the pivots and pivot rows are those
 of a plain left-to-right column scan.
 
-``nullspace`` first runs the singleton-row step of LP presolve (Andersen and
-Andersen, "Presolving in linear programming", 1995): a row with one live
-column forces that column to zero in every kernel vector, and forcing it can
-leave other rows with one live column.  So the kernel is exactly the kernel
-of the rows over the columns left, embedded with zeros at the forced columns.
-It then eliminates over the columns left in a fill-reducing static order,
-fewest rows first (Markowitz, "The elimination form of the inverse", 1957),
-and reduces the kernel basis to its canonical form: the vectors with distinct
-last nonzero columns, each zero at the others' last columns, primitive, with
-a positive first entry.  That form depends only on the kernel and the column
-order, so the elimination order does not change it, and it is exactly the
-basis a left-to-right elimination gives, whose free column is a vector's last
-nonzero entry and the other free columns are zero.  The embedding keeps the
-column order and adds only zeros, so the presolve does not change it either.
+``nullspace`` first runs the singleton-row and doubleton-equation steps of LP
+presolve (Andersen and Andersen, "Presolving in linear programming", 1995),
+applied to a kernel: a row with one live column forces that column to zero,
+and a row with two is solved by substitution, which merges the two columns
+into one class of columns with integer multipliers (see _doubleton_presolve).
+Both steps can cascade, and each is a bijective change of parameters, so the
+kernel is exactly that of the rows left over the live classes, expanded
+through the multipliers.  The rows left are eliminated in a fill-reducing
+static order, fewest rows first (Markowitz, "The elimination form of the
+inverse", 1957), and the kernel basis is reduced to its canonical form: the
+vectors with distinct last nonzero columns, each zero at the others' last
+columns, primitive, with a positive first entry.  That form depends only on
+the kernel and the column order, so neither the presolve nor the elimination
+order changes it, and it is exactly the basis a left-to-right elimination
+gives, whose free column is a vector's last nonzero entry and the other free
+columns are zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 Row = Dict[int, int]
@@ -125,35 +127,74 @@ def _column_order(rows: Sequence[Dict[int, object]], ncols: int) -> List[int]:
     return sorted(range(ncols), key=lambda c: (meets[c], c))
 
 
-def _singleton_presolve(rows: Sequence[Dict[int, object]], ncols: int) -> List[bool]:
-    """Which columns every kernel vector is zero at: repeatedly take a row that
-    meets exactly one live column, force that column to zero, and count it
-    out of every row that meets it.  A row with one live column meets the
-    forced columns, zero in the kernel, and that column alone, so the kernel is
-    zero there too.  Returns the forced flag of each column; the rows are
-    neither copied nor changed."""
-    meeting: List[List[int]] = [[] for _ in range(ncols)]  # column -> rows meeting it
-    live: List[int] = []  # row -> number of unforced columns it meets
-    for r, row in enumerate(rows):
-        n = 0
-        for c, v in row.items():
-            if v:
-                meeting[c].append(r)
-                n += 1
-        live.append(n)
+def _doubleton_presolve(
+    rows: Iterable[Dict[int, object]], ncols: int
+) -> Tuple[List[int], List[int], List[bool], List[Row]]:
+    """Solve every row with one or two live entries by substitution.
+
+    Each column belongs to a class with an integer multiplier: x_c =
+    mult[c] * t_k with k = cls[c], a class's id being one of its columns.
+    Every class starts as its own column with multiplier 1.  A row is read
+    through the classes, summing the entries that fall in one class and
+    skipping the classes forced to zero.  The kernel vectors are the t that
+    every row allows:
+    - a row that reads nothing allows every t, so it is dropped;
+    - a row that reads a * t_k allows exactly t_k = 0: the class is forced,
+      and its parameter dropped;
+    - a row that reads a * t_p + b * t_q allows exactly t_p = d * s, t_q =
+      -n * s for a new parameter s, where n/d = a/b in lowest terms: the
+      classes merge, the smaller one relabelled to the larger's id.
+    Each is a bijective change of parameters on the vectors the row allows,
+    so the kernel is exactly the kernel of the rows left, expanded through
+    the classes.  The reading repeats over the rows left until none reads two
+    entries or fewer.
+
+    Returns (cls, mult, forced, reduced): forced is indexed by class id, and
+    reduced holds the rows left, read through the final classes.  The rows
+    are read in place, neither copied nor changed; a Fraction entry is read
+    as it is, and echelon clears the denominators of the rows left.
+    """
+    cls = list(range(ncols))
+    mult = [1] * ncols
+    members = [[c] for c in range(ncols)]
     forced = [False] * ncols
-    singles = [r for r, n in enumerate(live) if n == 1]
-    while singles:
-        r = singles.pop()
-        if live[r] != 1:
-            continue
-        col = next(c for c, v in rows[r].items() if v and not forced[c])
-        forced[col] = True
-        for other in meeting[col]:
-            live[other] -= 1
-            if live[other] == 1:
-                singles.append(other)
-    return forced
+    pending = list(rows)
+    changed = True
+    while changed:
+        changed = False
+        kept: List[Dict[int, object]] = []
+        reduced: List[Row] = []
+        for row in pending:
+            read: Row = {}
+            for c, v in row.items():
+                k = cls[c]
+                if not forced[k]:
+                    read[k] = read.get(k, 0) + v * mult[c]
+            if not all(read.values()):
+                read = {k: v for k, v in read.items() if v}
+            if len(read) > 2:
+                kept.append(row)
+                reduced.append(read)
+            elif len(read) == 1:
+                forced[next(iter(read))] = True
+                changed = True
+            elif read:
+                (p, a), (q, b) = read.items()
+                if len(members[p]) < len(members[q]):
+                    p, a, q, b = q, b, p, a
+                ratio = Fraction(a, b)
+                fp, fq = ratio.denominator, -ratio.numerator
+                if fp != 1:
+                    for c in members[p]:
+                        mult[c] *= fp
+                for c in members[q]:
+                    mult[c] *= fq
+                    cls[c] = p
+                members[p] += members[q]
+                members[q] = []
+                changed = True
+        pending = kept
+    return cls, mult, forced, reduced
 
 
 def _axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
@@ -168,38 +209,15 @@ def _axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
             y.pop(c, None)
 
 
-def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, ...]]:
-    """Primitive integer basis of the right kernel, one vector per free column.
-
-    Vectors are length-ncols tuples.  Each vector's last nonzero entry sits at
-    its free column, where the other vectors are zero; the basis is ordered by
-    free column and each vector is normalized so its first nonzero entry is
-    positive.
-
-    Columns forced to zero by _singleton_presolve are left out, and the
-    elimination runs over the other columns relabelled by _column_order, so
-    the kernel comes back with zeros at the forced columns.  Its kernel basis is then reduced from the right: each vector is cleared at the
-    earlier vectors' last columns, scaled to 1 at its own last column, and
-    cleared from the earlier vectors there.
-
-    Scaling the rational solution by the lcm of its denominators already
-    gives a primitive vector.  For a prime p dividing that lcm, take the entry
-    whose denominator carries the full power of p: scaled, it is its reduced
-    numerator times a factor prime to p, so p does not divide it.  For any
-    other prime, the free entry 1 scales to the lcm itself, prime to p.
-    """
-    rows = list(rows)
-    forced = _singleton_presolve(rows, ncols)
-    order = [c for c in _column_order(rows, ncols) if not forced[c]]  # label -> column
-    label = [-1] * ncols
-    for lab, c in enumerate(order):
-        label[c] = lab
-    pivots = echelon(
-        {lab: v for c, v in row.items() if (lab := label[c]) >= 0} for row in rows
-    )
+def _kernel(rows: Sequence[Row], columns: Sequence[int]) -> List[Dict[int, Fraction]]:
+    """A kernel basis of rows over the given columns, which hold every entry:
+    one vector per free column of the elimination in _column_order, found by
+    back-substitution, as a dict column -> Fraction."""
+    label = {c: lab for lab, c in enumerate(columns)}
+    pivots = echelon({label[c]: v for c, v in row.items()} for row in rows)
     pivot_set = {c for c, _ in pivots}
-    reduced: Dict[int, Dict[int, Fraction]] = {}  # last column -> vector, 1 there
-    for free in range(len(order)):
+    kernel = []
+    for free in range(len(columns)):
         if free in pivot_set:
             continue
         x: Dict[int, Fraction] = {free: Fraction(1)}
@@ -212,27 +230,51 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
                     s += v * x[c]
             if s:
                 x[col] = -s / row[col]
-        kvec = {order[c]: v for c, v in x.items()}
-        for last, w in reduced.items():
-            _axpy(kvec, -kvec.get(last, 0), w)
-        last = max(kvec)
-        a = kvec[last]
-        kvec = {c: v / a for c, v in kvec.items()}
+        kernel.append({columns[c]: v for c, v in x.items()})
+    return kernel
+
+
+def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, ...]]:
+    """Primitive integer basis of the right kernel, one vector per free column.
+
+    Vectors are length-ncols tuples.  Each vector's last nonzero entry sits at
+    its free column, where the other vectors are zero; the basis is ordered by
+    free column and each vector is normalized so its first nonzero entry is
+    positive.
+
+    _doubleton_presolve turns the rows into fewer rows over column classes,
+    x_c = mult[c] * t_k; _kernel solves those over the live classes in
+    _column_order.  Each class vector t is then reduced from the right in
+    class space, where a vector's last nonzero column is the last column of
+    its last class (classes are disjoint, so distinct classes have distinct
+    last columns): it is cleared at the earlier vectors' last classes, scaled
+    to 1 at its own, and cleared from the earlier vectors there.  Expanding
+    through the classes is linear and one to one, so the expanded vectors
+    are, up to scale, the canonical basis; each is made primitive by its gcd.
+    """
+    cls, mult, forced, reduced_rows = _doubleton_presolve(rows, ncols)
+    last: Dict[int, int] = {}  # live class -> its last column
+    for c, k in enumerate(cls):
+        if not forced[k]:
+            last[k] = c
+    order = [k for k in _column_order(reduced_rows, ncols) if k in last]
+    reduced: Dict[int, Dict[int, Fraction]] = {}  # last class -> vector, 1 there
+    for t in _kernel(reduced_rows, order):
+        for top, w in reduced.items():
+            _axpy(t, -t.get(top, 0), w)
+        top = max(t, key=last.__getitem__)
+        a = t[top]
+        t = {k: v / a for k, v in t.items()}
         for w in reduced.values():
-            _axpy(w, -w.get(last, 0), kvec)
-        reduced[last] = kvec
+            _axpy(w, -w.get(top, 0), t)
+        reduced[top] = t
     basis: List[Tuple[int, ...]] = []
-    for _, x in sorted(reduced.items()):
-        den = 1
-        for c in x.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = [0] * ncols
-        for col, v in x.items():
-            vec[col] = int(v * den)
-        for v in vec:
-            if v:
-                if v < 0:
-                    vec = [-w for w in vec]
-                break
-        basis.append(tuple(vec))
+    for _, t in sorted((last[k], t) for k, t in reduced.items()):
+        den = lcm(*(v.denominator for v in t.values()))
+        scaled = {k: int(v * den) for k, v in t.items()}
+        vec = [mult[c] * scaled[k] if k in scaled else 0 for c, k in enumerate(cls)]
+        g = gcd(*vec)
+        if next(v for v in vec if v) < 0:
+            g = -g
+        basis.append(tuple(v // g for v in vec))
     return basis

@@ -275,11 +275,27 @@ def zeta_printed(r: int) -> Polynomial:
     return poly.from_pairs(_PRINTED_ZETA[r])
 
 
+class _SharedPolynomial(Polynomial):
+    """A polynomial that a cache hands to every caller: its terms are a
+    read-only mapping, and the attribute cannot be rebound or deleted."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[poly.Exponent, Coeff]) -> None:
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a cached polynomial is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a cached polynomial is read-only")
+
+
 @lru_cache(maxsize=None)
 def zeta(r: int) -> Polynomial:
     """The r-th member (1..26) of the quadratic copy of the module basis.
 
-    The polynomial is cached and shared, so its terms are a read-only mapping.
+    The polynomial is cached and shared, so it is read-only.
     """
     if not 1 <= r <= 26:
         raise ValueError(f"index must be in 1..26, got {r}")
@@ -295,7 +311,7 @@ def zeta(r: int) -> Polynomial:
         # breaks the copy at indices 13..16 and destroys invariance of the
         # cubic form).
         f = -poly.dual(zeta(27 - r))
-    return Polynomial._raw(MappingProxyType(f.terms))
+    return _SharedPolynomial(f.terms)
 
 
 def theta() -> Polynomial:

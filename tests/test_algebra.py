@@ -160,6 +160,22 @@ def test_cached_module_basis_is_immutable():
     assert algebra.ad_on_v(algebra.f4_cartan(4))[0][0] == 1
 
 
+def test_cached_module_basis_cannot_be_rebound():
+    element = algebra.v_basis(4)
+    before = dict(element.terms)
+    with pytest.raises(AttributeError):
+        element.terms = {}
+    with pytest.raises(AttributeError):
+        del element.terms
+    assert algebra.v_basis(4) is element
+    assert element.terms == before
+    assert algebra.ad_on_v(algebra.f4_cartan(1))[3][3] == 1
+    # Elements built from the cached one are ordinary, writable values.
+    other = -element
+    other.terms = {}
+    assert other.is_zero() and algebra.v_basis(4).terms == before
+
+
 def test_ad_on_v_requires_fixed_element():
     try:
         algebra.ad_on_v(root_vector(lattice.simple_root(1)))

@@ -225,27 +225,115 @@ def test_nullspace_with_planted_singletons_matches_scan_reference(case):
     assert linalg.nullspace(rows, ncols) == scan_nullspace(rows, ncols)
 
 
+NONZERO_ENTRIES = [v for v in DENSE_ENTRIES if v]
+
+
+@st.composite
+def planted_doubleton_sets(draw):
+    """(rows, ncols): up to three rows of three to five entries, with one to
+    three planted groups of rows inserted at drawn positions, so the doubleton
+    presolve merges classes, often in a later pass than the row that needs
+    the merge:
+    - a chain {a, b}, {b, c}, ... with drawn coefficients;
+    - a cycle of two-entry rows vanishing on a drawn vector, so it keeps a
+      free direction;
+    - the same cycle closed with its last ratio doubled, so it forces its
+      class to zero;
+    - a two-entry row repeated, as a multiple of itself (it reads as nothing
+      once its columns merge) or with drawn coefficients (one entry: forced);
+    - a two-entry row and a three-entry row whose first two entries are a
+      multiple of it, so the three-entry row reads as a singleton after the
+      merge.
+    Coefficients are nonzero ints and Fractions, and a planted row may carry
+    an explicit zero at another column."""
+    ncols = draw(st.integers(4, 12))
+    coeff = st.sampled_from(NONZERO_ENTRIES)
+    base = st.dictionaries(st.integers(0, ncols - 1), coeff, min_size=3, max_size=5)
+    rows = draw(st.lists(base, max_size=3))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["chain", "cycle", "broken cycle", "repeat", "three"]))
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=3, max_size=5, unique=True))
+        x = [draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) for _ in cols]
+
+        def vanishing(i, j):
+            # Two entries at cols[i], cols[j] with x[i] * a + x[j] * b = 0.
+            s = draw(coeff)
+            return {cols[i]: x[j] * s, cols[j]: -x[i] * s}
+
+        if kind == "chain":
+            planted = [{a: draw(coeff), b: draw(coeff)} for a, b in zip(cols, cols[1:])]
+        elif kind in ("cycle", "broken cycle"):
+            planted = [vanishing(i, (i + 1) % len(cols)) for i in range(len(cols))]
+            if kind == "broken cycle":
+                planted[-1][cols[0]] *= 2
+        elif kind == "repeat":
+            first = {cols[0]: draw(coeff), cols[1]: draw(coeff)}
+            k = draw(coeff)
+            if draw(st.booleans()):
+                again = {c: k * v for c, v in first.items()}
+            else:
+                again = {cols[0]: draw(coeff), cols[1]: draw(coeff)}
+            planted = [first, again]
+        else:
+            pair = vanishing(0, 1)
+            k = draw(coeff)
+            triple = {c: k * v for c, v in pair.items()}
+            triple[cols[2]] = draw(coeff)
+            planted = [pair, triple]
+        for row in planted:
+            zero_at = draw(st.integers(0, ncols - 1))
+            if zero_at not in row and draw(st.booleans()):
+                row[zero_at] = 0
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows, ncols
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(planted_doubleton_sets())
+def test_nullspace_with_planted_doubletons_matches_scan_reference(case):
+    rows, ncols = case
+    assert linalg.nullspace(rows, ncols) == scan_nullspace(rows, ncols)
+
+
+def test_nullspace_of_inconsistent_triangle_is_zero():
+    # x1 = 2 x0 and x2 = 3 x1 force x2 = 6 x0, but the third row says x2 = 5 x0.
+    assert linalg.nullspace([{0: 2, 1: -1}, {1: 3, 2: -1}, {0: 5, 2: -1}], 3) == []
+
+
+def test_nullspace_of_consistent_triangle_keeps_one_vector():
+    # The same two rows closed by x2 = 6 x0 leave the direction (1, 2, 6).
+    assert linalg.nullspace([{0: 2, 1: -1}, {1: 3, 2: -1}, {0: 6, 2: -1}], 3) == [(1, 2, 6)]
+
+
+def forced_columns(rows, ncols):
+    """Which columns the presolve forces to zero: those in forced classes."""
+    cls, _, forced, _ = linalg._doubleton_presolve(rows, ncols)
+    return [forced[k] for k in cls]
+
+
 def test_presolve_cascade_forces_every_column():
-    # {0} forces column 0, which leaves {0, 1} one live column, which forces 1,
-    # which leaves {1, 2} one live column.
+    # {1, 2} and {0, 1} merge the three columns into one class, which {0}
+    # forces.
     rows = [{1: 3, 2: -1}, {0: 2, 1: 1}, {0: 5}]
     before = [dict(r) for r in rows]
-    assert linalg._singleton_presolve(rows, 3) == [True, True, True]
+    assert forced_columns(rows, 3) == [True, True, True]
     assert linalg.nullspace(rows, 3) == []
     assert rows == before
 
 
 def test_presolve_cascade_leaves_one_free_column():
-    # {2} forces 2, then {0, 2} forces 0, then {0, 3} forces 3; no row meets 1.
+    # {0, 3} and {0, 2} merge columns 0, 2 and 3 into one class, which {2}
+    # forces; no row meets 1.
     rows = [{0: 2, 3: 1}, {0: -1, 2: 1}, {2: 5}]
-    assert linalg._singleton_presolve(rows, 4) == [True, False, True, True]
+    assert forced_columns(rows, 4) == [True, False, True, True]
     assert linalg.nullspace(rows, 4) == [(0, 1, 0, 0)]
 
 
 def test_presolve_skips_explicit_zero_entries():
-    # An entry stored as 0 meets no column: {1: 0} forces nothing.
+    # An entry stored as 0 meets no column: {1: 0} reads as nothing, and
+    # {0: 1, 1: 0} forces column 0 alone.
     rows = [{1: 0}, {0: 1, 1: 0}]
-    assert linalg._singleton_presolve(rows, 2) == [True, False]
+    assert forced_columns(rows, 2) == [True, False]
     assert linalg.nullspace(rows, 2) == [(0, 1)]
 
 

@@ -71,6 +71,22 @@ def test_cached_quadratic_copy_is_immutable():
     assert rep.theta() == rep.theta_printed()
 
 
+def test_cached_quadratic_copy_cannot_be_rebound():
+    f = rep.zeta(1)
+    before = dict(f.terms)
+    with pytest.raises(AttributeError):
+        f.terms = {}
+    with pytest.raises(AttributeError):
+        del f.terms
+    assert rep.zeta(1) is f
+    assert f.terms == before
+    assert rep.theta() == rep.theta_printed()
+    # Polynomials built from the cached one are ordinary, writable values.
+    g = 2 * f
+    g.terms = {}
+    assert g.is_zero() and rep.zeta(1).terms == before
+
+
 def test_cached_errata_records_are_read_only():
     record = rep.validate_table()[0]
     with pytest.raises(TypeError):
