@@ -7,6 +7,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -310,10 +311,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.exit(2, f"f4poly: cannot write {args.json_path}: {err.strerror or err}\n")
     with report:
         code, lines, payload = HANDLERS[args.command](args, rng)
-        sys.stdout.write("\n".join(lines) + "\n")
-        if args.json_path is not None:
-            json.dump(payload, report, indent=2)
-            report.write("\n")
+        stream, name = sys.stdout, "stdout"
+        try:
+            stream.write("\n".join(lines) + "\n")
+            stream.flush()
+            if args.json_path is not None:
+                stream, name = report, args.json_path
+                json.dump(payload, report, indent=2)
+                report.write("\n")
+                report.flush()
+        except OSError as err:
+            # The stream still holds what it failed to write, and its flush at
+            # close or at exit would fail again with a traceback, so its
+            # descriptor is pointed at the null device first.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+            parser.exit(2, f"f4poly: cannot write {name}: {err.strerror or err}\n")
     return code
 
 

@@ -1,11 +1,9 @@
 """Exact sparse linear algebra over the rationals: echelon form, rank, nullspace.
 
 Rows are dicts column -> coefficient (int or Fraction, zeros absent).  The
-elimination is fraction-free: rows are rescaled to primitive integer vectors
-after every combination, so all intermediate entries stay integral.  Rows are
-kept in buckets by leading column, so finding the rows that meet a pivot
-column costs nothing per untouched row; the pivots and pivot rows are those
-of a plain left-to-right column scan.
+elimination is a fraction-free left-to-right column scan: rows are rescaled
+to primitive integer vectors after every combination, so all intermediate
+entries stay integral.
 
 ``nullspace`` first runs the singleton-row and doubleton-equation steps of LP
 presolve (Andersen and Andersen, "Presolving in linear programming", 1995),
@@ -14,23 +12,27 @@ and a row with two is solved by substitution, which merges the two columns
 into one class of columns with integer multipliers (see _doubleton_presolve).
 Both steps can cascade, and each is a bijective change of parameters, so the
 kernel is exactly that of the rows left over the live classes, expanded
-through the multipliers.  The rows left are eliminated in a fill-reducing
-static order, fewest rows first (Markowitz, "The elimination form of the
-inverse", 1957), and the kernel basis is reduced to its canonical form: the
-vectors with distinct last nonzero columns, each zero at the others' last
-columns, primitive, with a positive first entry.  That form depends only on
-the kernel and the column order, so neither the presolve nor the elimination
-order changes it, and it is exactly the basis a left-to-right elimination
-gives, whose free column is a vector's last nonzero entry and the other free
-columns are zero.
+through the multipliers.  Those rows are eliminated once, with the live
+classes ordered by their last column, and solved by back-substitution, one
+vector per free class set to 1 with the other free classes at 0.
+
+That basis is already canonical: the vectors have distinct last nonzero
+columns, each is zero at the others' last nonzero columns, and each is
+primitive with a positive first entry.  Back-substitution sets every pivot
+class right of a free class f to zero, so f is its vector's last nonzero
+class, and the vector is zero at the other free classes.  The classes are
+disjoint, so expanding through x_c = mult[c] * t keeps both properties
+column by column: the last nonzero column is the last column of f, where
+every other vector is zero.  The canonical form depends only on the kernel
+and the column order, so the presolve does not change it: it is the basis a
+plain left-to-right elimination over all columns gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 Row = Dict[int, int]
 
@@ -59,72 +61,48 @@ def echelon(rows: Iterable[Dict[int, object]]) -> List[Tuple[int, Row]]:
 
     Returns [(pivot_col, pivot_row), ...] in increasing pivot-column order.
     Each pivot row is a primitive integer row whose minimal column is its
-    pivot.  Pivot choice (fewest nonzeros, then input order) is deterministic.
-
-    Rows wait in buckets keyed by their smallest column.  When the smallest
-    bucket's column is reached, no row has an entry to its left, so that
-    bucket holds exactly the rows that meet the column: the pivot comes from
-    it, and each row reduced against the pivot moves to the bucket of its new
-    smallest column.
+    pivot.  For each column in turn, the pivot is the shortest of the rows
+    that hold it, the earliest in input order on a tie, and the other rows
+    that hold it are reduced against it.
     """
-    buckets: Dict[int, List[Tuple[int, int, Row]]] = {}  # entries (len(row), idx, row)
-    for idx, row in enumerate(rows):
-        r = _to_int_row(row)
-        if r:
-            buckets.setdefault(min(r), []).append((len(r), idx, r))
-    heap = list(buckets)
-    heapify(heap)
+    active = [r for r in map(_to_int_row, rows) if r]
     pivots: List[Tuple[int, Row]] = []
-    while heap:
-        col = heappop(heap)
-        bucket = buckets.pop(col)
-        _, pidx, piv = min(bucket)  # idx is unique, so rows are never compared
+    for col in sorted({c for r in active for c in r}):
+        hits = [r for r in active if col in r]
+        if not hits:
+            continue
+        piv = min(hits, key=len)  # the first of the shortest
         a = piv[col]
         rest = [(c, v) for c, v in piv.items() if c != col]
-        for _, idx, r in bucket:
-            if idx == pidx:
+        for r in hits:
+            if r is piv:
                 continue
+            # Every active row is echelon's own copy, so it is reduced in place.
             b = r.pop(col)
-            # Every bucketed row is echelon's own copy, so it may be reused.
-            out: Row = r if a == 1 else {c: a * v for c, v in r.items()}
+            if a != 1:
+                for c in r:
+                    r[c] *= a
             for c, v in rest:
-                w = out.get(c, 0) - b * v
+                w = r.get(c, 0) - b * v
                 if w:
-                    out[c] = w
+                    r[c] = w
                 else:
-                    out.pop(c, None)
-            if not out:
-                continue
+                    del r[c]
             g = 0
-            for v in out.values():
+            for v in r.values():
                 g = gcd(g, v)
                 if g == 1:
                     break
             if g > 1:
-                for c in out:
-                    out[c] //= g
-            lead = min(out)
-            if lead in buckets:
-                buckets[lead].append((len(out), idx, out))
-            else:
-                buckets[lead] = [(len(out), idx, out)]
-                heappush(heap, lead)
+                for c in r:
+                    r[c] //= g
         pivots.append((col, piv))
+        active = [r for r in active if r and r is not piv]
     return pivots
 
 
 def rank(rows: Iterable[Dict[int, object]]) -> int:
     return len(echelon(rows))
-
-
-def _column_order(rows: Sequence[Dict[int, object]], ncols: int) -> List[int]:
-    """The columns sorted by how many rows meet them, fewest first, then by
-    column: a static fill-reducing elimination order."""
-    meets = [0] * ncols
-    for row in rows:
-        for c in row:
-            meets[c] += 1
-    return sorted(range(ncols), key=lambda c: (meets[c], c))
 
 
 def _doubleton_presolve(
@@ -197,43 +175,6 @@ def _doubleton_presolve(
     return cls, mult, forced, reduced
 
 
-def _axpy(y: Dict[int, Fraction], a: Fraction, x: Dict[int, Fraction]) -> None:
-    """y += a * x in place, dropping entries that cancel."""
-    if not a:
-        return
-    for c, v in x.items():
-        w = y.get(c, 0) + a * v
-        if w:
-            y[c] = w
-        else:
-            y.pop(c, None)
-
-
-def _kernel(rows: Sequence[Row], columns: Sequence[int]) -> List[Dict[int, Fraction]]:
-    """A kernel basis of rows over the given columns, which hold every entry:
-    one vector per free column of the elimination in _column_order, found by
-    back-substitution, as a dict column -> Fraction."""
-    label = {c: lab for lab, c in enumerate(columns)}
-    pivots = echelon({label[c]: v for c, v in row.items()} for row in rows)
-    pivot_set = {c for c, _ in pivots}
-    kernel = []
-    for free in range(len(columns)):
-        if free in pivot_set:
-            continue
-        x: Dict[int, Fraction] = {free: Fraction(1)}
-        for col, row in reversed(pivots):
-            if col > free:
-                continue
-            s = Fraction(0)
-            for c, v in row.items():
-                if c != col and c in x:
-                    s += v * x[c]
-            if s:
-                x[col] = -s / row[col]
-        kernel.append({columns[c]: v for c, v in x.items()})
-    return kernel
-
-
 def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, ...]]:
     """Primitive integer basis of the right kernel, one vector per free column.
 
@@ -243,35 +184,36 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
     positive.
 
     _doubleton_presolve turns the rows into fewer rows over column classes,
-    x_c = mult[c] * t_k; _kernel solves those over the live classes in
-    _column_order.  Each class vector t is then reduced from the right in
-    class space, where a vector's last nonzero column is the last column of
-    its last class (classes are disjoint, so distinct classes have distinct
-    last columns): it is cleared at the earlier vectors' last classes, scaled
-    to 1 at its own, and cleared from the earlier vectors there.  Expanding
-    through the classes is linear and one to one, so the expanded vectors
-    are, up to scale, the canonical basis; each is made primitive by its gcd.
+    x_c = mult[c] * t_k.  The live classes, labelled in the order of their
+    last columns, are eliminated by echelon and solved by back-substitution;
+    each class vector t is expanded through the classes and made primitive
+    by its gcd.  The module docstring shows why that basis is canonical.
     """
-    cls, mult, forced, reduced_rows = _doubleton_presolve(rows, ncols)
+    cls, mult, forced, reduced = _doubleton_presolve(rows, ncols)
     last: Dict[int, int] = {}  # live class -> its last column
     for c, k in enumerate(cls):
         if not forced[k]:
             last[k] = c
-    order = [k for k in _column_order(reduced_rows, ncols) if k in last]
-    reduced: Dict[int, Dict[int, Fraction]] = {}  # last class -> vector, 1 there
-    for t in _kernel(reduced_rows, order):
-        for top, w in reduced.items():
-            _axpy(t, -t.get(top, 0), w)
-        top = max(t, key=last.__getitem__)
-        a = t[top]
-        t = {k: v / a for k, v in t.items()}
-        for w in reduced.values():
-            _axpy(w, -w.get(top, 0), t)
-        reduced[top] = t
+    order = sorted(last, key=last.__getitem__)
+    label = {k: i for i, k in enumerate(order)}
+    pivots = echelon({label[k]: v for k, v in row.items()} for row in reduced)
+    pivot_set = {c for c, _ in pivots}
     basis: List[Tuple[int, ...]] = []
-    for _, t in sorted((last[k], t) for k, t in reduced.items()):
+    for free in range(len(order)):
+        if free in pivot_set:
+            continue
+        t: Dict[int, Fraction] = {free: Fraction(1)}
+        for col, row in reversed(pivots):
+            if col > free:
+                continue
+            s = Fraction(0)
+            for c, v in row.items():
+                if c in t:
+                    s += v * t[c]
+            if s:
+                t[col] = -s / row[col]
         den = lcm(*(v.denominator for v in t.values()))
-        scaled = {k: int(v * den) for k, v in t.items()}
+        scaled = {order[i]: int(v * den) for i, v in t.items()}
         vec = [mult[c] * scaled[k] if k in scaled else 0 for c, k in enumerate(cls)]
         g = gcd(*vec)
         if next(v for v in vec if v) < 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -138,6 +139,30 @@ def test_runs_as_module(module):
         [sys.executable, "-m", module, "dim", "0", "1"], capture_output=True, text=True, env=env
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "26\n", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, stdout_path, target",
+    [
+        (["dim", "0", "1", "--json", "/dev/full"], None, "/dev/full"),
+        (["singular", "--degree", "3"], "/dev/full", "stdout"),
+    ],
+    ids=["report", "stdout"],
+)
+def test_write_errors_exit_two_with_one_line(argv, stdout_path, target):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with open(stdout_path or os.devnull, "w") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "f4poly", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert result.returncode == 2
+    assert result.stderr == f"f4poly: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_verify_json_report(tmp_path, capsys):

@@ -34,8 +34,9 @@ def dense_rank(rows, ncols):
 
 
 def scan_echelon(rows):
-    """The column-scan elimination that ``linalg.echelon`` replaced, kept as a
-    reference: for each column in turn, scan every active row for it."""
+    """The column scan of ``linalg.echelon``, written apart from it as a
+    reference: for each column up to the largest, scan every active row for it,
+    and build each reduced row anew."""
     active = [r for r in (linalg._to_int_row(row) for row in rows) if r]
     if not active:
         return []
@@ -83,9 +84,9 @@ def scan_echelon(rows):
 
 
 def scan_nullspace(rows, ncols):
-    """The left-to-right ``linalg.nullspace`` that the fill-reducing column order
-    replaced, kept as a reference: back-substitution over the pivots of the
-    plain column order, one vector per free column."""
+    """``linalg.nullspace`` without the presolve, kept as a reference:
+    back-substitution over the echelon pivots of all the columns in their plain
+    order, one vector per free column."""
     pivots = linalg.echelon(rows)
     pivot_set = {c for c, _ in pivots}
     basis = []
@@ -335,12 +336,6 @@ def test_presolve_skips_explicit_zero_entries():
     rows = [{1: 0}, {0: 1, 1: 0}]
     assert forced_columns(rows, 2) == [True, False]
     assert linalg.nullspace(rows, 2) == [(0, 1)]
-
-
-def test_column_order_is_fewest_rows_first_then_column():
-    rows = [{0: 1, 1: 2, 3: 1}, {0: 1, 3: 5}, {0: 3, 2: 1}, {4: 1}]
-    # rows meeting columns 0..5: 3, 1, 1, 2, 1, 0
-    assert linalg._column_order(rows, 6) == [5, 1, 2, 4, 3, 0]
 
 
 def test_nullspace_known_answer():

@@ -263,7 +263,7 @@ def test_block_rows_match_derivation_apply_assembly(monkeypatch):
 
 def test_raiser_check_rejects_a_vector_outside_the_kernel(monkeypatch):
     """A 'kernel' vector that some simple operator does not kill must make the
-    24-raiser cross-check raise."""
+    cross-check against the 20 non-simple raisers raise."""
 
     def unit_vector_in_a_row(rows, ncols):
         if not rows:
