@@ -9,10 +9,12 @@ import json
 import math
 import os
 import random
+import stat
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import algebra, checks, dimensions, lattice, poly, representation
+if TYPE_CHECKING:
+    from . import algebra
 
 DEFAULT_SEED = 12345
 
@@ -35,11 +37,14 @@ def _mark(ok: bool) -> str:
 
 
 # --------------------------------------------------------------------------
-# Command handlers.  Each returns (exit code, text lines, JSON payload).
+# Command handlers.  Each returns (exit code, text lines, JSON payload), and
+# each imports only the modules it calls, so a command compiles no others.
 # --------------------------------------------------------------------------
 
 
 def _cmd_verify(args: argparse.Namespace, rng: random.Random) -> Result:
+    from . import checks
+
     wanted = [name for name, _ in checks.SUITES] if args.target == "all" else [args.target]
     lines: List[str] = []
     suite_reports = []
@@ -68,6 +73,8 @@ def _cmd_verify(args: argparse.Namespace, rng: random.Random) -> Result:
 
 
 def _cmd_singular(args: argparse.Namespace, rng: random.Random) -> Result:
+    from . import poly, representation
+
     report = representation.singular_vectors(args.degree)
     entries = sorted(report.entries, key=lambda entry: entry.weight, reverse=True)
     # The span check pins each weight's dimension to its count of generator
@@ -97,6 +104,8 @@ def _cmd_singular(args: argparse.Namespace, rng: random.Random) -> Result:
 
 
 def _cmd_identity(args: argparse.Namespace, rng: random.Random) -> Result:
+    from . import dimensions
+
     order = args.order
     report = dimensions.verify_identity_26(order)
     series = dimensions.rhs_series(order)
@@ -121,6 +130,8 @@ def _cmd_identity(args: argparse.Namespace, rng: random.Random) -> Result:
 
 
 def _cmd_dim(args: argparse.Namespace, rng: random.Random) -> Result:
+    from . import dimensions
+
     value = dimensions.weyl_dim(args.k, args.l)
     agree = value == dimensions.closed_form_dim(args.k, args.l)
     lines = [str(value)]
@@ -131,6 +142,8 @@ def _cmd_dim(args: argparse.Namespace, rng: random.Random) -> Result:
 
 
 def _cmd_branch(args: argparse.Namespace, rng: random.Random) -> Result:
+    from . import dimensions
+
     total = dimensions.branching_sum(args.degree)
     binom = math.comb(args.degree + 25, 25)
     ok = total == binom
@@ -142,6 +155,8 @@ def _cmd_branch(args: argparse.Namespace, rng: random.Random) -> Result:
 
 
 def _cmd_harmonic(args: argparse.Namespace, rng: random.Random) -> Result:
+    from . import representation
+
     bound, witnesses = representation.harmonic_summand_bound(args.degree)
     ok = witnesses == bound
     lines = [
@@ -153,6 +168,8 @@ def _cmd_harmonic(args: argparse.Namespace, rng: random.Random) -> Result:
 
 
 def _cmd_errata(args: argparse.Namespace, rng: random.Random) -> Result:
+    from . import representation
+
     # json.dumps rejects the read-only records, so copy them into dicts.
     table = [dict(record) for record in representation.validate_table()]
     formulas = representation.formula_errata()
@@ -177,9 +194,13 @@ def _label_json(label: algebra.Label) -> List[object]:
 
 def _cmd_export(args: argparse.Namespace, rng: random.Random) -> Result:
     if args.what == "roots":
+        from . import lattice
+
         roots = lattice.all_roots()
         lines = [" ".join(str(c) for c in root) for root in roots]
         return 0, lines, [list(root) for root in roots]
+    from . import algebra
+
     labels = algebra.labels()
     table = algebra.structure_table()
     entries: List[List[object]] = []
@@ -298,6 +319,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_report(path: str) -> None:
+    """Remove an unfinished report, but only a regular file: never a device,
+    a FIFO or a symlink that ``--json`` named."""
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -309,25 +338,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = open(args.json_path, "w", encoding="utf-8")
         except OSError as err:
             parser.exit(2, f"f4poly: cannot write {args.json_path}: {err.strerror or err}\n")
-    with report:
-        code, lines, payload = HANDLERS[args.command](args, rng)
-        stream, name = sys.stdout, "stdout"
-        try:
-            stream.write("\n".join(lines) + "\n")
-            stream.flush()
-            if args.json_path is not None:
-                stream, name = report, args.json_path
-                json.dump(payload, report, indent=2)
-                report.write("\n")
-                report.flush()
-        except OSError as err:
-            # The stream still holds what it failed to write, and its flush at
-            # close or at exit would fail again with a traceback, so its
-            # descriptor is pointed at the null device first.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, stream.fileno())
-            os.close(devnull)
-            parser.exit(2, f"f4poly: cannot write {name}: {err.strerror or err}\n")
+    try:
+        with report:
+            code, lines, payload = HANDLERS[args.command](args, rng)
+            stream, name = sys.stdout, "stdout"
+            try:
+                stream.write("\n".join(lines) + "\n")
+                stream.flush()
+                if args.json_path is not None:
+                    stream, name = report, args.json_path
+                    json.dump(payload, report, indent=2)
+                    report.write("\n")
+                    report.flush()
+            except OSError as err:
+                # The stream still holds what it failed to write, and its flush
+                # at close or at exit would fail again with a traceback, so its
+                # descriptor is pointed at the null device first.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+                parser.exit(2, f"f4poly: cannot write {name}: {err.strerror or err}\n")
+    except BaseException:
+        # A failed run, by a write error or an exception out of the handler,
+        # leaves no truncated report behind.
+        if args.json_path is not None:
+            _discard_report(args.json_path)
+        raise
     return code
 
 

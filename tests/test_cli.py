@@ -6,16 +6,22 @@ import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import f4poly
 from f4poly import cli, dimensions, representation
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
+ENV = dict(
+    os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+)
+MODULES = {"f4poly"} | {f"f4poly.{name}" for name in f4poly.__all__ if name != "__version__"}
 
 
 def test_verify_lattice_passes(capsys):
@@ -141,6 +147,57 @@ def test_runs_as_module(module):
     assert (result.returncode, result.stdout, result.stderr) == (0, "26\n", "")
 
 
+# Prints, after the statement, the f4poly modules that a fresh interpreter loaded.
+LOADED = """
+import contextlib, io, sys
+from f4poly import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(" ".join(sorted(name for name in sys.modules if name.startswith("f4poly"))))
+"""
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("pass", {"f4poly", "f4poly.cli"}),
+        ("cli.main(['identity', '--order', '3'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
+        ("cli.main(['branch', '--degree', '2'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
+        ("cli.main(['dim', '0', '1'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
+        ("cli.main(['export', 'roots'])", {"f4poly", "f4poly.cli", "f4poly.lattice"}),
+        ("cli.main(['singular', '--degree', '2'])", MODULES - {"f4poly.checks"}),
+    ],
+    ids=["import", "identity", "branch", "dim", "export-roots", "singular"],
+)
+def test_each_command_imports_only_what_it_runs(statement, loaded):
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED, statement], capture_output=True, text=True, env=ENV
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert set(result.stdout.split()) == loaded
+
+
+def test_package_imports_submodules_on_first_use():
+    """The bench child's path (``import f4poly.cli``, then ``f4poly.representation``),
+    ``from f4poly import *`` and an unknown name, each in a fresh interpreter."""
+    probe = """
+import f4poly.cli
+assert callable(f4poly.representation.laplacian_commutes_on_degree)
+names = {}
+exec("from f4poly import *", names)
+assert set(f4poly.__all__) <= names.keys(), names.keys()
+try:
+    f4poly.nope
+except AttributeError as err:
+    print(err)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=ENV
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "module 'f4poly' has no attribute 'nope'\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv, stdout_path, target",
@@ -163,6 +220,48 @@ def test_write_errors_exit_two_with_one_line(argv, stdout_path, target):
         )
     assert result.returncode == 2
     assert result.stderr == f"f4poly: cannot write {target}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_leaves_no_report(tmp_path):
+    """A report opened before a failed stdout write is removed, while
+    ``--json /dev/full`` leaves the device in place."""
+    path = tmp_path / "x.json"
+    with open("/dev/full", "w") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "f4poly", "singular", "--degree", "3", "--json", str(path)],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=ENV,
+        )
+    assert result.returncode == 2
+    assert result.stderr == f"f4poly: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert not path.exists()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["dim", "0", "1", "--json", "/dev/full"])
+    assert info.value.code == 2
+    assert stat.S_ISCHR(os.lstat("/dev/full").st_mode)
+
+
+@pytest.mark.parametrize("via_symlink", [False, True], ids=["file", "symlink"])
+def test_raising_handler_leaves_no_report(monkeypatch, tmp_path, via_symlink):
+    """An exception out of a handler propagates and removes the report it
+    truncated, but never a symlink that ``--json`` named."""
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    path = tmp_path / "link.json" if via_symlink else target
+    if via_symlink:
+        path.symlink_to(target)
+
+    def fails(degree):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(representation, "singular_vectors", fails)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        cli.main(["singular", "--degree", "2", "--json", str(path)])
+    assert path.is_symlink() == via_symlink
+    assert target.exists() == via_symlink
 
 
 def test_verify_json_report(tmp_path, capsys):
