@@ -15,15 +15,12 @@ from .lattice import Vector
 Coeff = Union[int, Fraction]
 # ('h', i) with i in 1..6 is the i-th simple coroot; ('e', v) is the root vector at v.
 Label = Tuple[str, object]
+# A bracket of two basis elements: (index, coefficient) pairs, indices strictly
+# increasing and coefficients nonzero; () is zero.
+Cell = Tuple[Tuple[int, int], ...]
 F4Root = Tuple[int, int, int, int]
 
 DIM = 78
-
-# Image of simple-root index i under the diagram involution, read off its action
-# on the simple roots.
-_SIGMA_INDEX = tuple(
-    lattice.diagram_involution(lattice.simple_root(i)).index(1) + 1 for i in range(1, 7)
-)
 
 
 @lru_cache(maxsize=None)
@@ -140,34 +137,32 @@ class AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def structure_table() -> Tuple[Tuple[Mapping[int, int], ...], ...]:
-    """Bracket of basis pairs as index-keyed sparse rows: T[i][j] = [b_i, b_j].
+def structure_table() -> Tuple[Tuple[Cell, ...], ...]:
+    """Bracket of basis pairs by index: T[i][j] = [b_i, b_j] as a ``Cell``.
 
-    The table is cached and shared, so each cell is a read-only mapping.
+    The table is cached and shared, and every cell is an immutable tuple.
     """
-    labs = labels()
     roots = lattice.all_roots()
     rset = lattice.root_set()
     root_at = {r: 6 + k for k, r in enumerate(roots)}
-    table: List[List[Dict[int, int]]] = [[{} for _ in range(DIM)] for _ in range(DIM)]
+    table: List[List[Cell]] = [[()] * DIM for _ in range(DIM)]
     for i in range(6):
         alpha = lattice.simple_root(i + 1)
         for k, beta in enumerate(roots):
             pairing = lattice.inner(alpha, beta)
             if pairing:
-                table[i][6 + k] = {6 + k: pairing}
-                table[6 + k][i] = {6 + k: -pairing}
+                table[i][6 + k] = ((6 + k, pairing),)
+                table[6 + k][i] = ((6 + k, -pairing),)
     for a_pos, alpha in enumerate(roots):
         ia = 6 + a_pos
         for b_pos, beta in enumerate(roots):
             ib = 6 + b_pos
             total = lattice.add(alpha, beta)
             if total == lattice.ZERO:
-                table[ia][ib] = {i: -alpha[i] for i in range(6) if alpha[i]}
+                table[ia][ib] = tuple((i, -alpha[i]) for i in range(6) if alpha[i])
             elif total in rset:
-                table[ia][ib] = {root_at[total]: lattice.cocycle(alpha, beta)}
-    empty: Mapping[int, int] = MappingProxyType({})  # shared by the 4068 empty cells
-    return tuple(tuple(MappingProxyType(cell) if cell else empty for cell in row) for row in table)
+                table[ia][ib] = ((root_at[total], lattice.cocycle(alpha, beta)),)
+    return tuple(map(tuple, table))
 
 
 def bracket(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
@@ -180,7 +175,7 @@ def bracket(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
         row = table[index[lab_l]]
         for lab_r, c_r in right.terms.items():
             product = c_l * c_r
-            for target, weight in row[index[lab_r]].items():
+            for target, weight in row[index[lab_r]]:
                 new = acc.get(target, 0) + product * weight
                 if new:
                     acc[target] = new
@@ -189,15 +184,18 @@ def bracket(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._raw({labs[k]: c for k, c in acc.items()})
 
 
-def _involution_label(lab: Label) -> Label:
-    if lab[0] == "h":
-        return ("h", _SIGMA_INDEX[lab[1] - 1])
-    return ("e", lattice.diagram_involution(lab[1]))
+@lru_cache(maxsize=None)
+def sigma() -> Tuple[int, ...]:
+    """The diagram involution as a permutation of basis indices: b_i -> b_sigma[i]."""
+    coroots = tuple(lattice.diagram_involution(lattice.simple_root(i)).index(1) for i in range(1, 7))
+    index = label_index()
+    return coroots + tuple(index[("e", lattice.diagram_involution(r))] for r in lattice.all_roots())
 
 
 def involution(element: AlgebraElement) -> AlgebraElement:
     """The order-2 algebra automorphism induced by the diagram flip."""
-    return AlgebraElement._raw({_involution_label(lab): c for lab, c in element.terms.items()})
+    index, labs, perm = label_index(), labels(), sigma()
+    return AlgebraElement._raw({labs[perm[index[lab]]]: c for lab, c in element.terms.items()})
 
 
 # Failures each sweep reports before it stops.
@@ -206,14 +204,17 @@ _JACOBI_FAILURE_LIMIT = 1
 
 
 def involution_is_automorphism_failures() -> List[Tuple[Label, Label]]:
-    """Basis pairs where the involution fails to preserve the bracket."""
-    labs = labels()
+    """Basis pairs whose bracket the involution fails to preserve, that is
+    where T[sigma i][sigma j] is not T[i][j] relabelled k -> sigma k.
+
+    The relabelled pairs are re-sorted: sigma permutes the coroots, which share cells.
+    """
+    table, perm, labs = structure_table(), sigma(), labels()
     failures: List[Tuple[Label, Label]] = []
-    basis = [AlgebraElement._raw({lab: 1}) for lab in labs]
-    images = [involution(b) for b in basis]
     for i in range(DIM):
+        row, image_row = table[i], table[perm[i]]
         for j in range(DIM):
-            if involution(bracket(basis[i], basis[j])) != bracket(images[i], images[j]):
+            if image_row[perm[j]] != tuple(sorted((perm[k], c) for k, c in row[j])):
                 failures.append((labs[i], labs[j]))
                 if len(failures) >= _AUTOMORPHISM_FAILURE_LIMIT:
                     return failures
@@ -221,17 +222,13 @@ def involution_is_automorphism_failures() -> List[Tuple[Label, Label]]:
 
 
 def antisymmetry_failures() -> int:
-    """Count of basis pairs violating [x,y] = -[y,x] (including [x,x] = 0)."""
+    """Count of basis pairs violating [x,y] = -[y,x], including [x,x] = 0: a
+    cell's coefficients are nonzero, so no nonzero [x,x] equals its negation."""
     table = structure_table()
     count = 0
     for i in range(DIM):
         for j in range(i, DIM):
-            forward = table[i][j]
-            backward = table[j][i]
-            if i == j:
-                if forward:
-                    count += 1
-            elif forward != {k: -v for k, v in backward.items()}:
+            if table[i][j] != tuple((k, -c) for k, c in table[j][i]):
                 count += 1
     return count
 
@@ -245,9 +242,7 @@ def jacobi_failures() -> Tuple[Tuple[int, int, int], ...]:
     sweep strictly increasing triples: permuting a triple only permutes and
     negates the three summands.
     """
-    # Each cell as a tuple of (index, coefficient) pairs: the sweep reads
-    # every cell many times, and a tuple iterates faster than a read-only view.
-    table = [[tuple(cell.items()) for cell in row] for row in structure_table()]
+    table = structure_table()
     failures: List[Tuple[int, int, int]] = []
     for i in range(DIM):
         row_i = table[i]
@@ -275,20 +270,11 @@ def jacobi_failures() -> Tuple[Tuple[int, int, int], ...]:
 
 
 def eigenspace_dimensions() -> Tuple[int, int]:
-    """(dim of fixed subalgebra, dim of odd eigenspace) of the involution."""
-    labs = labels()
-    index = label_index()
-    minus_rows: List[Dict[int, int]] = []
-    plus_rows: List[Dict[int, int]] = []
-    for lab in labs:
-        i = index[lab]
-        j = index[_involution_label(lab)]
-        if i == j:
-            minus_rows.append({})
-            plus_rows.append({i: 2})
-        else:
-            minus_rows.append({j: 1, i: -1})
-            plus_rows.append({j: 1, i: 1})
+    """(dim of fixed subalgebra, dim of odd eigenspace) of the involution: 78
+    less the ranks of sigma - 1 and sigma + 1, each read from its basis images."""
+    perm = sigma()
+    minus_rows = [{j: 1, i: -1} for i, j in enumerate(perm) if i != j]
+    plus_rows = [{j: 1, i: 1} if i != j else {i: 2} for i, j in enumerate(perm)]
     fixed = DIM - linalg.rank(minus_rows)
     odd = DIM - linalg.rank(plus_rows)
     return fixed, odd

@@ -42,10 +42,11 @@ def _mark(ok: bool) -> str:
 # --------------------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     from . import checks
 
     wanted = [name for name, _ in checks.SUITES] if args.target == "all" else [args.target]
+    rng = random.Random(args.seed)
     lines: List[str] = []
     suite_reports = []
     all_ok = True
@@ -72,7 +73,7 @@ def _cmd_verify(args: argparse.Namespace, rng: random.Random) -> Result:
     return (0 if all_ok else 1), lines, payload
 
 
-def _cmd_singular(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_singular(args: argparse.Namespace) -> Result:
     from . import poly, representation
 
     report = representation.singular_vectors(args.degree)
@@ -103,7 +104,7 @@ def _cmd_singular(args: argparse.Namespace, rng: random.Random) -> Result:
     return (0 if ok else 1), lines, payload
 
 
-def _cmd_identity(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_identity(args: argparse.Namespace) -> Result:
     from . import dimensions
 
     order = args.order
@@ -129,7 +130,7 @@ def _cmd_identity(args: argparse.Namespace, rng: random.Random) -> Result:
     return (0 if ok else 1), lines, payload
 
 
-def _cmd_dim(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_dim(args: argparse.Namespace) -> Result:
     from . import dimensions
 
     value = dimensions.weyl_dim(args.k, args.l)
@@ -141,7 +142,7 @@ def _cmd_dim(args: argparse.Namespace, rng: random.Random) -> Result:
     return (0 if agree else 1), lines, payload
 
 
-def _cmd_branch(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_branch(args: argparse.Namespace) -> Result:
     from . import dimensions
 
     total = dimensions.branching_sum(args.degree)
@@ -154,7 +155,7 @@ def _cmd_branch(args: argparse.Namespace, rng: random.Random) -> Result:
     return (0 if ok else 1), lines, payload
 
 
-def _cmd_harmonic(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_harmonic(args: argparse.Namespace) -> Result:
     from . import representation
 
     bound, witnesses = representation.harmonic_summand_bound(args.degree)
@@ -167,7 +168,7 @@ def _cmd_harmonic(args: argparse.Namespace, rng: random.Random) -> Result:
     return (0 if ok else 1), lines, payload
 
 
-def _cmd_errata(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_errata(args: argparse.Namespace) -> Result:
     from . import representation
 
     # json.dumps rejects the read-only records, so copy them into dicts.
@@ -192,7 +193,7 @@ def _label_json(label: algebra.Label) -> List[object]:
     return ["e", list(label[1])]
 
 
-def _cmd_export(args: argparse.Namespace, rng: random.Random) -> Result:
+def _cmd_export(args: argparse.Namespace) -> Result:
     if args.what == "roots":
         from . import lattice
 
@@ -207,13 +208,13 @@ def _cmd_export(args: argparse.Namespace, rng: random.Random) -> Result:
     for i, row in enumerate(table):
         for j, cell in enumerate(row):
             if cell:
-                terms = [[_label_json(labels[k]), coeff] for k, coeff in sorted(cell.items())]
+                terms = [[_label_json(labels[k]), coeff] for k, coeff in cell]
                 entries.append([_label_json(labels[i]), _label_json(labels[j]), terms])
     lines = [f"basis size {len(labels)}; nonzero brackets {len(entries)}"]
     return 0, lines, entries
 
 
-HANDLERS: Dict[str, Callable[[argparse.Namespace, random.Random], Result]] = {
+HANDLERS: Dict[str, Callable[[argparse.Namespace], Result]] = {
     "verify": _cmd_verify,
     "singular": _cmd_singular,
     "identity": _cmd_identity,
@@ -244,23 +245,6 @@ def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    seed = _int_in(0, 2**64 - 1)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        dest="json_path",
-        default=argparse.SUPPRESS,
-        metavar="PATH",
-        help="write the JSON report to this path",
-    )
-    common.add_argument(
-        "--seed",
-        dest="seed",
-        type=seed,
-        default=argparse.SUPPRESS,
-        metavar="U64",
-        help="seed for sampled property checks",
-    )
     parser = argparse.ArgumentParser(
         prog="f4poly",
         description=(
@@ -268,10 +252,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "26-variable polynomial realization."
         ),
     )
-    parser.add_argument("--json", dest="json_path", default=None, metavar="PATH",
-                        help="write the JSON report to this path")
-    parser.add_argument("--seed", dest="seed", type=seed, default=DEFAULT_SEED,
-                        metavar="U64", help="seed for sampled property checks")
+    # Each option goes before the command or after it, where it overrides.
+    common = argparse.ArgumentParser(add_help=False)
+    for owner, json_default, seed_default in (
+        (parser, None, DEFAULT_SEED),
+        (common, argparse.SUPPRESS, argparse.SUPPRESS),
+    ):
+        owner.add_argument("--json", dest="json_path", default=json_default, metavar="PATH",
+                           help="write the JSON report to this path")
+        owner.add_argument("--seed", dest="seed", type=_int_in(0, 2**64 - 1),
+                           default=seed_default, metavar="U64",
+                           help="seed for sampled property checks")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
@@ -330,17 +321,19 @@ def _discard_report(path: str) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
-    # Open the report before any work, so an unwritable path is a usage error.
+    # Open the report before any work, so an unwritable path is a usage error,
+    # but cut it to the new report's length only once that is written: until
+    # then the file keeps its earlier bytes.
     report = contextlib.nullcontext()
     if args.json_path is not None:
         try:
-            report = open(args.json_path, "w", encoding="utf-8")
+            fd = os.open(args.json_path, os.O_WRONLY | os.O_CREAT, 0o666)
         except OSError as err:
             parser.exit(2, f"f4poly: cannot write {args.json_path}: {err.strerror or err}\n")
+        report = open(fd, "w", encoding="utf-8")
     try:
         with report:
-            code, lines, payload = HANDLERS[args.command](args, rng)
+            code, lines, payload = HANDLERS[args.command](args)
             stream, name = sys.stdout, "stdout"
             try:
                 stream.write("\n".join(lines) + "\n")
@@ -350,6 +343,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     json.dump(payload, report, indent=2)
                     report.write("\n")
                     report.flush()
+                    # A device or a FIFO cannot be truncated, nor needs it.
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
             except OSError as err:
                 # The stream still holds what it failed to write, and its flush
                 # at close or at exit would fail again with a traceback, so its
@@ -360,7 +356,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 parser.exit(2, f"f4poly: cannot write {name}: {err.strerror or err}\n")
     except BaseException:
         # A failed run, by a write error or an exception out of the handler,
-        # leaves no truncated report behind.
+        # leaves no unfinished report behind in a regular file that the path
+        # names; a symlink's target keeps its earlier bytes.
         if args.json_path is not None:
             _discard_report(args.json_path)
         raise

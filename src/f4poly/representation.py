@@ -363,17 +363,24 @@ def _eta2_bracket_14() -> Polynomial:
     )
 
 
+# Nine printed cubic terms that both the printed expansion of the cubic
+# invariant and the long elimination of x25/x26 carry.
+_ETA2_PRINTED_SHARED: Tuple[Tuple[int, Tuple[int, int, int]], ...] = (
+    (1, (7, 8, 24)), (-1, (5, 9, 24)),
+    (1, (10, 4, 23)), (1, (10, 9, 21)),
+    (-1, (11, 5, 23)), (-1, (11, 8, 21)), (-1, (11, 12, 17)),
+    (-1, (12, 7, 22)), (-1, (12, 9, 19)),
+)
+
+
 def eta2_printed() -> Polynomial:
     """Printed expansion of the cubic invariant."""
     head = poly.from_pairs(
         (
             (1, (2, 12, 26)), (1, (3, 10, 26)), (-1, (4, 8, 26)), (1, (5, 6, 26)),
             (1, (3, 11, 25)), (-1, (4, 9, 25)), (1, (6, 7, 25)),
-            (1, (7, 8, 24)), (-1, (5, 9, 24)),
-            (1, (10, 4, 23)), (1, (10, 9, 21)),
-            (-1, (11, 5, 23)), (-1, (11, 8, 21)), (-1, (11, 12, 17)),
-            (-1, (12, 7, 22)), (-1, (12, 9, 19)),
         )
+        + _ETA2_PRINTED_SHARED
     )
     cubes = poly.from_pairs(
         ((2, (13, 13, 13)), (3, (13, 13, 14)), (-3, (13, 14, 14)), (-2, (14, 14, 14)))
@@ -497,14 +504,7 @@ def verify_elimination_identities() -> List[IdentityCheck]:
         3 * (3 * pairs(((1, (1, 15)), (1, (3, 11)), (-1, (4, 9)), (1, (6, 7)))) + X(2) * (X(13) + 2 * X(14))) * X(25)
         + 3 * (3 * pairs(((1, (2, 12)), (1, (3, 10)), (-1, (4, 8)), (1, (5, 6)))) + X(1) * (2 * X(13) + X(14))) * X(26)
     )
-    inner10 = pairs(
-        (
-            (1, (7, 8, 24)), (-1, (5, 9, 24)),
-            (1, (10, 4, 23)), (1, (10, 9, 21)),
-            (-1, (11, 5, 23)), (-1, (11, 8, 21)), (-1, (11, 12, 17)),
-            (-1, (12, 7, 22)), (-1, (12, 9, 19)),
-        )
-    )
+    inner10 = pairs(_ETA2_PRINTED_SHARED)
     rest10 = (
         -9 * X(1) * pairs(((1, (17, 24)), (-1, (19, 23)), (1, (21, 22))))
         - 9 * X(2) * pairs(((1, (16, 24)), (-1, (18, 23)), (1, (20, 21))))
@@ -726,6 +726,11 @@ def products_span_kernels(report: SingularReport) -> bool:
 # --------------------------------------------------------------------------
 
 
+# The twelve mirror-pair terms, 3*d_r*d_(27-r), that the Laplacian and its
+# printed form share.
+_LAPLACIAN_PAIRED: Tuple[Tuple[int, int, Coeff], ...] = tuple((r, 27 - r, 3) for r in range(1, 13))
+
+
 def laplacian() -> Tuple[Tuple[int, int, Coeff], ...]:
     """Second-order invariant operator as (var, var, coefficient) triples.
 
@@ -735,16 +740,12 @@ def laplacian() -> Tuple[Tuple[int, int, Coeff], ...]:
     normalization.  The space of quadratic symbols commuting with all 52
     operators is one-dimensional, pinning this operator up to scale.
     """
-    terms: List[Tuple[int, int, Coeff]] = [(r, 27 - r, 3) for r in range(1, 13)]
-    terms.extend([(13, 13, -3), (13, 14, 3), (14, 14, -3)])
-    return tuple(terms)
+    return _LAPLACIAN_PAIRED + ((13, 13, -3), (13, 14, 3), (14, 14, -3))
 
 
 def laplacian_printed() -> Tuple[Tuple[int, int, Coeff], ...]:
     """Printed form of the second-order operator (zero-weight block differs)."""
-    terms: List[Tuple[int, int, Coeff]] = [(r, 27 - r, 3) for r in range(1, 13)]
-    terms.extend([(13, 13, -1), (13, 14, -1), (14, 14, -1)])
-    return tuple(terms)
+    return _LAPLACIAN_PAIRED + ((13, 13, -1), (13, 14, -1), (14, 14, -1))
 
 
 # The Laplacian's terms as 0-based cells (a, b, c), meaning c * d_a * d_b.

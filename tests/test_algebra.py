@@ -54,7 +54,7 @@ def test_cached_tables_are_read_only():
     with pytest.raises(TypeError):
         table[0][7][7] = 1
     cell = table[0][11]
-    assert cell == {11: -1}
+    assert cell == ((11, -1),)
     with pytest.raises(TypeError):
         cell[11] = 0
     with pytest.raises(TypeError):
@@ -66,9 +66,67 @@ def test_cached_tables_are_read_only():
     with pytest.raises(TypeError):
         roots[lattice.ZERO] = (1, 1)
     assert not algebra.structure_table()[0][7]
-    assert algebra.structure_table()[0][11] == {11: -1}
+    assert algebra.structure_table()[0][11] == ((11, -1),)
     assert algebra.label_index()[("h", 1)] == 0
     assert lattice.ZERO not in algebra._module_root_index()
+
+
+def test_structure_table_and_sigma_shape():
+    table = algebra.structure_table()
+    assert type(table) is tuple and len(table) == algebra.DIM
+    for row in table:
+        assert type(row) is tuple and len(row) == algebra.DIM
+        for cell in row:
+            assert type(cell) is tuple
+            for pair in cell:
+                assert type(pair) is tuple and len(pair) == 2
+                assert type(pair[0]) is int and type(pair[1]) is int and pair[1] != 0
+            indices = [k for k, _ in cell]
+            assert all(a < b for a, b in zip(indices, indices[1:]))
+    perm = algebra.sigma()
+    assert sorted(perm) == list(range(algebra.DIM))
+    assert all(perm[perm[i]] == i for i in range(algebra.DIM))
+    assert sum(perm[i] == i for i in range(algebra.DIM)) == 26
+    labs = algebra.labels()
+    for i, lab in enumerate(labs):
+        image = algebra.involution(AlgebraElement._raw({lab: 1}))
+        assert image == AlgebraElement._raw({labs[perm[i]]: 1})
+
+
+def _first_moved_cell(kind):
+    """First cell [b_i, b_j], i < j, whose pair the involution moves: of a
+    coroot with a root vector, of two root vectors giving a root vector, or of
+    opposite root vectors giving coroots."""
+    table = algebra.structure_table()
+    perm = algebra.sigma()
+    for i in range(algebra.DIM):
+        for j in range(i + 1, algebra.DIM):
+            cell = table[i][j]
+            if not cell or (perm[i], perm[j]) == (i, j):
+                continue
+            found = {
+                "coroot-root": i < 6,
+                "root-root": i >= 6 and cell[0][0] >= 6,
+                "opposite-roots": i >= 6 and len(cell) > 1,
+            }[kind]
+            if found:
+                return i, j
+    raise AssertionError(f"no {kind} cell")
+
+
+@pytest.mark.parametrize("kind", ["coroot-root", "root-root", "opposite-roots"])
+def test_sweeps_report_a_negated_cell(monkeypatch, kind):
+    i, j = _first_moved_cell(kind)
+    rows = [list(row) for row in algebra.structure_table()]
+    rows[i][j] = tuple((k, -c) for k, c in rows[i][j])
+    planted = tuple(map(tuple, rows))
+    monkeypatch.setattr(algebra, "structure_table", lambda: planted)
+    labs = algebra.labels()
+    perm = algebra.sigma()
+    failures = algebra.involution_is_automorphism_failures()
+    assert set(failures) == {(labs[i], labs[j]), (labs[perm[i]], labs[perm[j]])}
+    assert algebra.antisymmetry_failures() >= 1
+    assert algebra.jacobi_failures.__wrapped__() != ()
 
 
 def test_positive_root_split():

@@ -246,8 +246,8 @@ def test_failed_write_leaves_no_report(tmp_path):
 
 @pytest.mark.parametrize("via_symlink", [False, True], ids=["file", "symlink"])
 def test_raising_handler_leaves_no_report(monkeypatch, tmp_path, via_symlink):
-    """An exception out of a handler propagates and removes the report it
-    truncated, but never a symlink that ``--json`` named."""
+    """An exception out of a handler propagates and removes the report, but
+    never a symlink that ``--json`` named, whose target keeps its bytes."""
     target = tmp_path / "report.json"
     target.write_text("earlier report\n")
     path = tmp_path / "link.json" if via_symlink else target
@@ -262,6 +262,23 @@ def test_raising_handler_leaves_no_report(monkeypatch, tmp_path, via_symlink):
         cli.main(["singular", "--degree", "2", "--json", str(path)])
     assert path.is_symlink() == via_symlink
     assert target.exists() == via_symlink
+    if via_symlink:
+        assert target.read_text() == "earlier report\n"
+
+
+@pytest.mark.parametrize("via_symlink", [False, True], ids=["file", "symlink"])
+def test_report_replaces_a_longer_earlier_file(tmp_path, capsys, via_symlink):
+    """A successful run leaves exactly its report, with no trailing bytes of
+    the earlier, longer file."""
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n" * 10)
+    path = tmp_path / "link.json" if via_symlink else target
+    if via_symlink:
+        path.symlink_to(target)
+    assert cli.main(["dim", "0", "1", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert path.is_symlink() == via_symlink
+    assert target.read_text() == json.dumps({"rows": [["0", "1", "26"]]}, indent=2) + "\n"
 
 
 def test_verify_json_report(tmp_path, capsys):
