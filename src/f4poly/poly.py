@@ -294,8 +294,11 @@ class Derivation:
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[Coeff]]) -> "Derivation":
-        """Linear operator with entries m[i][j]: x_(i+1) coefficient on d/dx_(j+1)."""
-        return cls((i, j, value) for i, row in enumerate(matrix) for j, value in enumerate(row))
+        """Linear operator with entries m[i][j]: x_(i+1) coefficient on d/dx_(j+1).
+        The matrix must be 26x26; only its nonzero cells are read."""
+        if len(matrix) != NVARS or any(len(row) != NVARS for row in matrix):
+            raise ValueError(f"operator matrix must be {NVARS}x{NVARS}")
+        return cls((i, j, c) for i, row in enumerate(matrix) for j, c in enumerate(row) if c)
 
     def matrix(self) -> List[List[Coeff]]:
         """Dense 26x26 matrix m[i][j]: x_(i+1) coefficient on d/dx_(j+1)."""

@@ -214,12 +214,13 @@ def root_operators() -> List[Derivation]:
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def eta1() -> Polynomial:
-    """The quadratic invariant."""
+    """The quadratic invariant; cached, so read-only."""
     total = Polynomial.zero()
     for r in range(1, 13):
         total = total + 3 * X(r) * X(27 - r)
-    return total - X(13) ** 2 - X(13) * X(14) - X(14) ** 2
+    return _SharedPolynomial((total - X(13) ** 2 - X(13) * X(14) - X(14) ** 2).terms)
 
 
 # Printed quadratic expansions, as (coefficient, variable-index pair) terms.
@@ -310,8 +311,9 @@ def zeta(r: int) -> Polynomial:
     return _SharedPolynomial(f.terms)
 
 
+@lru_cache(maxsize=None)
 def theta() -> Polynomial:
-    """The cubic singular vector: (x1*zeta(2) - x2*zeta(1)) / 3."""
+    """The cubic singular vector (x1*zeta(2) - x2*zeta(1)) / 3; cached, so read-only."""
     combined = X(1) * zeta(2) - X(2) * zeta(1)
     out = {}
     for exp, coeff in combined.terms.items():
@@ -319,7 +321,7 @@ def theta() -> Polynomial:
         if frac.denominator != 1:
             raise ArithmeticError("cubic singular vector is not integral")
         out[exp] = frac.numerator
-    return Polynomial._raw(out)
+    return _SharedPolynomial(out)
 
 
 def theta_printed() -> Polynomial:
@@ -332,13 +334,14 @@ def theta_printed() -> Polynomial:
     )
 
 
+@lru_cache(maxsize=None)
 def eta2() -> Polynomial:
-    """The cubic invariant, assembled from the invariant pairing."""
+    """The cubic invariant from the invariant pairing; cached, so read-only."""
     total = Polynomial.zero()
     for r in range(1, 13):
         total = total + 3 * (zeta(r) * X(27 - r) + X(r) * zeta(27 - r))
     total = total - 2 * X(13) * zeta(13) - X(13) * zeta(14) - X(14) * zeta(13) - 2 * X(14) * zeta(14)
-    return total
+    return _SharedPolynomial(total.terms)
 
 
 def _one_plus_dual(f: Polynomial) -> Polynomial:

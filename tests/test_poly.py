@@ -138,7 +138,17 @@ def test_derivation_matrix_roundtrip():
     op = Derivation.from_terms([(1, 2, 3), (5, 2, -1), (7, 26, 2)])
     m = op.matrix()
     assert m[0][1] == 3 and m[4][1] == -1 and m[6][25] == 2
-    assert Derivation.from_matrix(m) == op
+    assert Derivation.from_matrix(m) == op == Derivation([(0, 1, 3), (4, 1, -1), (6, 25, 2)])
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0] * 26] * 27, [[0] * 26] * 25, [[0] * 26] * 25 + [[0] * 25], [[0] * 26] * 25 + [[0] * 27]],
+    ids=["27 rows", "25 rows", "short row", "long row"],
+)
+def test_from_matrix_rejects_a_matrix_that_is_not_26_by_26(matrix):
+    with pytest.raises(ValueError):
+        Derivation.from_matrix(matrix)
 
 
 @PROPERTY_SETTINGS

@@ -87,6 +87,25 @@ def test_cached_quadratic_copy_cannot_be_rebound():
     assert g.is_zero() and rep.zeta(1).terms == before
 
 
+@pytest.mark.parametrize("generator", [rep.theta, rep.eta1, rep.eta2], ids=lambda g: g.__name__)
+def test_cached_generators_are_read_only(generator):
+    f = generator()
+    before = dict(f.terms)
+    with pytest.raises(TypeError):
+        f.terms[next(iter(before))] = 0
+    with pytest.raises(AttributeError):
+        f.terms = {}
+    with pytest.raises(AttributeError):
+        del f.terms
+    assert generator() is f and f.terms == before
+
+
+def test_harmonic_bound_builds_the_cubic_invariant_at_most_once():
+    rep.eta2.cache_clear()
+    rep.harmonic_summand_bound(5)
+    assert rep.eta2.cache_info().misses <= 1
+
+
 def test_cached_errata_records_are_read_only():
     record = rep.validate_table()[0]
     with pytest.raises(TypeError):
