@@ -811,14 +811,27 @@ def laplacian_commutes_on_degree(degree: int) -> bool:
     """Basis check: [Laplacian, op] kills every monomial of this degree.
 
     Kept as the basis-level cross-check of ``laplacian_commutator_symbol``,
-    which decides the same question from the operators' symbols.
+    which decides the same question from the operators' symbols.  The
+    Laplacian is applied once per basis monomial and tabulated; op(x^e) is a
+    combination of basis monomials, so its Laplacian is that combination of
+    theirs.  Each operator is still applied twice per monomial, to x^e and to
+    its Laplacian, so op(Laplacian(x^e)) is found directly, not from the table.
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     monomials = [Polynomial.monomial(e) for e in poly.monomials_of_degree(degree)]
-    lap_of = [apply_laplacian(m) for m in monomials]
+    laps = ((e, apply_laplacian(m)) for m in monomials for e in m.terms)
+    lap_of = {e: lap for e, lap in laps if lap}
+    zero = Polynomial.zero()
     for label in operator_labels():
         op = operator(label)
-        for mono, lap in zip(monomials, lap_of):
-            if apply_laplacian(op(mono)) != op(lap):
+        for mono in monomials:
+            (exp,) = mono.terms
+            diff = dict(op(lap_of.get(exp, zero)).terms)
+            for term, c in op(mono).terms.items():
+                for key, d in lap_of.get(term, zero).terms.items():
+                    diff[key] = diff.get(key, 0) - c * d
+            if any(diff.values()):
                 return False
     return True
 

@@ -358,6 +358,28 @@ def test_laplacian_point_values():
     assert rep.apply_laplacian(X(13) * X(14)) == Polynomial.constant(3)
 
 
+def test_laplacian_basis_check_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        rep.laplacian_commutes_on_degree(-1)
+
+
+# x1*d1, x13*d14 and x1*d26 as 0-based (i, j, c) cells; none commutes with the Laplacian.
+PLANTED = ((0, 0, 1), (12, 13, 1), (0, 25, 1))
+
+
+@pytest.mark.parametrize("cell", PLANTED)
+@pytest.mark.parametrize("degree", [2, 3])
+def test_laplacian_basis_check_rejects_a_planted_operator(monkeypatch, cell, degree):
+    planted = Derivation([cell])
+    assert rep.laplacian_commutator_symbol(planted) != {}
+    labels, operator = rep.operator_labels(), rep.operator
+    # Last at degree 2, so the whole sweep runs; first at degree 3, to keep the test short.
+    order = labels + ["planted"] if degree == 2 else ["planted"] + labels
+    monkeypatch.setattr(rep, "operator_labels", lambda: order)
+    monkeypatch.setattr(rep, "operator", lambda label: planted if label == "planted" else operator(label))
+    assert rep.laplacian_commutes_on_degree(degree) is False
+
+
 def test_laplacian_annihilates_generator_products():
     for k1 in range(0, 6):
         for k2 in range(0, 2):

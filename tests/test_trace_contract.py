@@ -67,6 +67,15 @@ def test_tracer_counts_identity_branch_gate():
     assert report["counts"]["dimensions.weyl_dim.distinct"] == 651
 
 
+def test_tracer_counts_laplacian_basis_gate():
+    """The basis check calls each operator twice per monomial and the Laplacian
+    once per monomial: at degree 2, 2*52*351 applies, the form of the
+    laplacian-basis gate's 340,704 = 2*52*3276 at degree 3."""
+    report = traced("representation.laplacian_commutes_on_degree(2)")
+    assert report["spans"]["poly.derivation_apply"][0] == 36504
+    assert report["spans"]["representation.apply_laplacian"][0] == 351
+
+
 def test_tracer_counts_verify_seeds_gate():
     """Building the 52 operators makes the oracle builds the verify-seeds gate pins."""
     report = traced(
