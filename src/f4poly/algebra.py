@@ -15,9 +15,10 @@ from .lattice import Vector
 Coeff = Union[int, Fraction]
 # ('h', i) with i in 1..6 is the i-th simple coroot; ('e', v) is the root vector at v.
 Label = Tuple[str, object]
-# A bracket of two basis elements: (index, coefficient) pairs, indices strictly
-# increasing and coefficients nonzero; () is zero.
-Cell = Tuple[Tuple[int, int], ...]
+# An element of the algebra, and so also a bracket of two basis elements:
+# (index, coefficient) pairs, indices strictly increasing and coefficients
+# nonzero; () is zero.
+Cell = Tuple[Tuple[int, Coeff], ...]
 F4Root = Tuple[int, int, int, int]
 
 DIM = 78
@@ -33,107 +34,6 @@ def labels() -> Tuple[Label, ...]:
 def label_index() -> Mapping[Label, int]:
     """Read-only map from basis label to its position in ``labels()``."""
     return MappingProxyType({lab: i for i, lab in enumerate(labels())})
-
-
-class AlgebraElement:
-    """Exact linear combination of basis labels of the 78-dimensional algebra."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Label, Coeff] | None = None) -> None:
-        clean: Dict[Label, Coeff] = {}
-        if terms:
-            index = label_index()
-            for lab, coeff in terms.items():
-                if lab not in index:
-                    raise ValueError(f"unknown basis label {lab!r}")
-                if coeff:
-                    clean[lab] = coeff
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, terms: Mapping[Label, Coeff]) -> "AlgebraElement":
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls._raw({})
-
-    @classmethod
-    def coroot(cls, i: int) -> "AlgebraElement":
-        if not 1 <= i <= 6:
-            raise ValueError(f"simple coroot index must be in 1..6, got {i}")
-        return cls._raw({("h", i): 1})
-
-    @classmethod
-    def cartan(cls, coeffs: Sequence[Coeff]) -> "AlgebraElement":
-        if len(coeffs) != 6:
-            raise ValueError("a diagonal element needs six coefficients")
-        return cls({("h", i + 1): c for i, c in enumerate(coeffs)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for lab, coeff in other.terms.items():
-            new = out.get(lab, 0) + coeff
-            if new:
-                out[lab] = new
-            elif lab in out:
-                del out[lab]
-        return AlgebraElement._raw(out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._raw({lab: -c for lab, c in self.terms.items()})
-
-    def __rmul__(self, scalar: Coeff) -> "AlgebraElement":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            return AlgebraElement.zero()
-        return AlgebraElement._raw({lab: c * scalar for lab, c in self.terms.items()})
-
-    __mul__ = __rmul__
-
-    def coordinates(self) -> List[Coeff]:
-        """Dense coordinate vector in the canonical 78-label basis."""
-        index = label_index()
-        out: List[Coeff] = [0] * DIM
-        for lab, coeff in self.terms.items():
-            out[index[lab]] = coeff
-        return out
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "AlgebraElement(0)"
-        index = label_index()
-        pieces = []
-        for lab in sorted(self.terms, key=index.__getitem__):
-            coeff = self.terms[lab]
-            name = f"h{lab[1]}" if lab[0] == "h" else f"E{lab[1]}"
-            pieces.append(f"{coeff}*{name}")
-        return "AlgebraElement(" + " + ".join(pieces) + ")"
 
 
 @lru_cache(maxsize=None)
@@ -165,23 +65,21 @@ def structure_table() -> Tuple[Tuple[Cell, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def bracket(left: AlgebraElement, right: AlgebraElement) -> AlgebraElement:
-    """Lie bracket of two elements."""
+def _cell(acc: Mapping[int, Coeff]) -> Cell:
+    """The cell of a map from basis index to coefficient, zeros dropped."""
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+
+def bracket(left: Cell, right: Cell) -> Cell:
+    """Lie bracket of two elements: the sum of c_i d_j T[i][j] over their pairs."""
     table = structure_table()
-    index = label_index()
-    labs = labels()
     acc: Dict[int, Coeff] = {}
-    for lab_l, c_l in left.terms.items():
-        row = table[index[lab_l]]
-        for lab_r, c_r in right.terms.items():
-            product = c_l * c_r
-            for target, weight in row[index[lab_r]]:
-                new = acc.get(target, 0) + product * weight
-                if new:
-                    acc[target] = new
-                elif target in acc:
-                    del acc[target]
-    return AlgebraElement._raw({labs[k]: c for k, c in acc.items()})
+    for i, c in left:
+        row = table[i]
+        for j, d in right:
+            for k, w in row[j]:
+                acc[k] = acc.get(k, 0) + c * d * w
+    return _cell(acc)
 
 
 @lru_cache(maxsize=None)
@@ -190,12 +88,6 @@ def sigma() -> Tuple[int, ...]:
     coroots = tuple(lattice.diagram_involution(lattice.simple_root(i)).index(1) for i in range(1, 7))
     index = label_index()
     return coroots + tuple(index[("e", lattice.diagram_involution(r))] for r in lattice.all_roots())
-
-
-def involution(element: AlgebraElement) -> AlgebraElement:
-    """The order-2 algebra automorphism induced by the diagram flip."""
-    index, labs, perm = label_index(), labels(), sigma()
-    return AlgebraElement._raw({labs[perm[index[lab]]]: c for lab, c in element.terms.items()})
 
 
 # Failures each sweep reports before it stops.
@@ -314,19 +206,21 @@ def f4_fiber(root: F4Root) -> Tuple[Vector, ...]:
     return fiber
 
 
-def f4_root_vector(root: Sequence[int], sign: int = 1) -> AlgebraElement:
+def f4_root_vector(root: Sequence[int], sign: int = 1) -> Cell:
     """Folded generator for +-(positive root): sum of root vectors over the fiber."""
-    root = tuple(root)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    terms: Dict[Label, Coeff] = {}
-    for beta in f4_fiber(root):
-        vec = beta if sign == 1 else lattice.neg(beta)
-        terms[("e", vec)] = 1
-    return AlgebraElement._raw(terms)
+    index = label_index()
+    fiber = f4_fiber(tuple(root))
+    return _cell({index[("e", beta if sign == 1 else lattice.neg(beta))]: 1 for beta in fiber})
 
 
-def f4_cartan(i: int) -> AlgebraElement:
+def _coroot_cell(coeffs: Sequence[int]) -> Cell:
+    """The diagonal element sum c_i h_i: coroot h_i sits at index i - 1."""
+    return tuple((i, c) for i, c in enumerate(coeffs) if c)
+
+
+def f4_cartan(i: int) -> Cell:
     """The i-th diagonal generator of the folded subalgebra (i in 1..4).
 
     The fiber of a simple folded root consists of simple roots alpha_j, and
@@ -335,7 +229,7 @@ def f4_cartan(i: int) -> AlgebraElement:
     if not 1 <= i <= 4:
         raise ValueError(f"diagonal generator index must be in 1..4, got {i}")
     fiber = f4_fiber(F4_SIMPLE[i - 1])
-    return AlgebraElement.cartan([sum(column) for column in zip(*fiber)])
+    return _coroot_cell([sum(column) for column in zip(*fiber)])
 
 
 # Seed roots for the module basis: x_i = E(seed) - E(flip(seed)) for i = 1..12,
@@ -356,94 +250,65 @@ _V_SEED: Tuple[Vector, ...] = (
 )
 
 
-class _SharedElement(AlgebraElement):
-    """An element that a cache hands to every caller: its terms are a
-    read-only mapping, and the attribute cannot be rebound or deleted."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[Label, Coeff]) -> None:
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("a cached algebra element is read-only")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("a cached algebra element is read-only")
-
-
 @lru_cache(maxsize=None)
-def v_basis(i: int) -> AlgebraElement:
-    """The i-th basis element (1..26) of the 26-dimensional module.
-
-    The element is cached and shared, so it is read-only.
-    """
+def v_basis(i: int) -> Cell:
+    """The i-th basis element (1..26) of the 26-dimensional module."""
     if not 1 <= i <= 26:
         raise ValueError(f"module basis index must be in 1..26, got {i}")
     if i == 13:
-        terms = AlgebraElement.cartan((1, 0, 0, 0, 0, -1)).terms
-    elif i == 14:
-        terms = AlgebraElement.cartan((0, 0, 1, 0, -1, 0)).terms
-    else:
-        seed = _V_SEED[i - 1] if i <= 12 else lattice.neg(_V_SEED[26 - i])
-        terms = {("e", seed): 1, ("e", lattice.diagram_involution(seed)): -1}
-    return _SharedElement(terms)
+        return _coroot_cell((1, 0, 0, 0, 0, -1))
+    if i == 14:
+        return _coroot_cell((0, 0, 1, 0, -1, 0))
+    seed = _V_SEED[i - 1] if i <= 12 else lattice.neg(_V_SEED[26 - i])
+    index = label_index()
+    return _cell({index[("e", seed)]: 1, index[("e", lattice.diagram_involution(seed))]: -1})
 
 
 @lru_cache(maxsize=None)
-def _module_root_index() -> Mapping[Vector, Tuple[int, int]]:
-    """Read-only map from each involution-moved root to (module basis index, sign)."""
-    table: Dict[Vector, Tuple[int, int]] = {}
-    for i in list(range(1, 13)) + list(range(15, 27)):
-        for lab, coeff in v_basis(i).terms.items():
-            table[lab[1]] = (i, coeff)
-    return MappingProxyType(table)
+def _module_leads() -> Mapping[int, Tuple[int, int]]:
+    """Read-only map from the lead index of each v_basis(i) to (i, lead
+    coefficient). No two elements share a lead index: h1 leads x13, h3 leads
+    x14, and each other element leads with the lower of its two roots."""
+    return MappingProxyType({v_basis(i)[0][0]: (i, v_basis(i)[0][1]) for i in range(1, 27)})
 
 
-def decompose_v(element: AlgebraElement) -> List[Coeff]:
+def decompose_v(element: Cell) -> List[Coeff]:
     """Coordinates (index 1..26; entry 0 unused) in the module basis.
 
-    Raises ValueError if the element lies outside the span of the basis.
+    Each coordinate is read from its basis element's lead index; every lead
+    coefficient is +-1, so multiplying by it divides by it.  Raises
+    ValueError unless the coordinates rebuild the element exactly.
     """
-    table = _module_root_index()
+    leads = _module_leads()
     coords: List[Coeff] = [0] * 27
-    cartan = [0] * 6
-    for lab, coeff in element.terms.items():
-        if lab[0] == "h":
-            cartan[lab[1] - 1] = coeff
-        else:
-            hit = table.get(lab[1])
-            if hit is None:
-                raise ValueError(f"root vector at {lab[1]} lies outside the module")
-            i, sign = hit
-            if not coords[i]:
-                coords[i] = coeff * sign
-    coords[13] = cartan[0]
-    coords[14] = cartan[2]
-    recon = AlgebraElement.zero()
-    for i in range(1, 27):
-        if coords[i]:
-            recon = recon + coords[i] * v_basis(i)
-    if recon != element:
+    for k, c in element:
+        if k in leads:
+            i, lead = leads[k]
+            coords[i] = c * lead
+    acc: Dict[int, Coeff] = {}
+    for i, x in enumerate(coords):
+        if x:
+            for k, c in v_basis(i):
+                acc[k] = acc.get(k, 0) + x * c
+    if _cell(acc) != element:
         raise ValueError("element is not in the span of the module basis")
     return coords
 
 
-def ad_on_v(element: AlgebraElement) -> List[List[Coeff]]:
+def ad_on_v(element: Cell) -> List[List[Coeff]]:
     """26x26 matrix of the adjoint action on the module basis.
 
     Requires the element to be fixed by the involution, so that the action
     preserves the odd eigenspace.
     """
-    if involution(element) != element:
+    perm = sigma()
+    if tuple(sorted((perm[k], c) for k, c in element)) != element:
         raise ValueError("element is not fixed by the algebra involution")
-    columns = []
-    for j in range(1, 27):
-        columns.append(decompose_v(bracket(element, v_basis(j))))
+    columns = [decompose_v(bracket(element, v_basis(j))) for j in range(1, 27)]
     return [[columns[j][i + 1] for j in range(26)] for i in range(26)]
 
 
-def f4_generator(label: Tuple) -> AlgebraElement:
+def f4_generator(label: Tuple) -> Cell:
     """Folded generator by label: ('h', i) or ('e', root4, sign)."""
     if label[0] == "h":
         return f4_cartan(label[1])

@@ -10,8 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from f4poly import dimensions, lattice, linalg, representation
-from f4poly.algebra import AlgebraElement
+from f4poly import algebra, dimensions, lattice, linalg, representation
 from f4poly.poly import NVARS, Polynomial
 
 
@@ -120,11 +119,34 @@ def moved_positive_orbits():
 
 
 def root_vector(root):
-    """The basis element of the 78-dimensional algebra at a rank-6 root."""
+    """The basis element of the 78-dimensional algebra at a rank-6 root, as a cell."""
     root = tuple(root)
     if root not in lattice.root_set():
         raise ValueError(f"{root} is not a root")
-    return AlgebraElement._raw({("e", root): 1})
+    return ((algebra.label_index()[("e", root)], 1),)
+
+
+def combine(*terms):
+    """The cell of sum c * cell over the (c, cell) pairs given."""
+    acc = {}
+    for c, cell in terms:
+        for k, d in cell:
+            acc[k] = acc.get(k, 0) + c * d
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+
+def relabel(cell):
+    """Image of a cell under the diagram involution: index k -> sigma[k]."""
+    perm = algebra.sigma()
+    return tuple(sorted((perm[k], c) for k, c in cell))
+
+
+def dense(cell):
+    """Coordinate vector of a cell in the canonical 78-element basis."""
+    out = [0] * algebra.DIM
+    for k, c in cell:
+        out[k] = c
+    return out
 
 
 def predicted_weight_counts(degree):

@@ -3,50 +3,56 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f4poly import algebra, lattice, poly
-from f4poly.algebra import AlgebraElement, bracket
-from helpers import invariant_positive_roots, moved_positive_orbits, rank_of_vectors, root_vector
+from f4poly.algebra import bracket
+from helpers import (
+    combine,
+    dense,
+    invariant_positive_roots,
+    moved_positive_orbits,
+    rank_of_vectors,
+    relabel,
+    root_vector,
+)
+
+GENERATOR_LABELS = [("h", i) for i in range(1, 5)] + [
+    ("e", root4, sign) for root4 in algebra.F4_POSITIVE for sign in (1, -1)
+]
 
 
-def test_labels_and_element_arithmetic():
-    labs = algebra.labels()
-    assert labs[0] == ("h", 1)
-    h1 = AlgebraElement.coroot(1)
-    e = root_vector(lattice.simple_root(1))
-    combo = 2 * h1 - e
-    assert combo.terms[("h", 1)] == 2
-    assert combo - combo == AlgebraElement.zero()
-    assert Fraction(1, 2) * (2 * e) == e
+def _coroot(i):
+    return ((i - 1, 1),)
 
 
 def test_bracket_conventions():
     a1 = lattice.simple_root(1)
     a3 = lattice.simple_root(3)
-    h1 = AlgebraElement.coroot(1)
+    h1 = _coroot(1)
     e1 = root_vector(a1)
     # Diagonal action: [h, e_a] = (h, a) e_a.
-    assert bracket(h1, e1) == 2 * e1
-    assert bracket(AlgebraElement.coroot(3), e1) == -e1
-    assert bracket(AlgebraElement.coroot(2), e1) == AlgebraElement.zero()
+    assert bracket(h1, e1) == combine((2, e1))
+    assert bracket(_coroot(3), e1) == combine((-1, e1))
+    assert bracket(_coroot(2), e1) == ()
     # Opposite root vectors bracket to the negated coroot combination.
     f1 = root_vector(lattice.neg(a1))
-    assert bracket(e1, f1) == -h1
+    assert bracket(e1, f1) == combine((-1, h1))
     # Root addition picks up the sign cocycle.
     e3 = root_vector(a3)
     sum_root = lattice.add(a1, a3)
-    assert bracket(e1, e3) == -root_vector(sum_root)
+    assert bracket(e1, e3) == combine((-1, root_vector(sum_root)))
     assert bracket(e3, e1) == root_vector(sum_root)
     # Non-root sums vanish.
     e5 = root_vector(lattice.simple_root(5))
-    assert bracket(e1, e5) == AlgebraElement.zero()
+    assert bracket(e1, e5) == ()
 
 
 def test_involution_is_order_two_automorphism():
     # that it preserves the bracket is a named algebra check
-    for lab in algebra.labels():
-        e = AlgebraElement._raw({lab: 1})
-        assert algebra.involution(algebra.involution(e)) == e
+    for i in range(algebra.DIM):
+        assert relabel(relabel(((i, 1),))) == ((i, 1),)
 
 
 def test_cached_tables_are_read_only():
@@ -62,13 +68,26 @@ def test_cached_tables_are_read_only():
     index = algebra.label_index()
     with pytest.raises(TypeError):
         index[("h", 1)] = 5
-    roots = algebra._module_root_index()
+    leads = algebra._module_leads()
     with pytest.raises(TypeError):
-        roots[lattice.ZERO] = (1, 1)
+        leads[0] = (14, 1)
     assert not algebra.structure_table()[0][7]
     assert algebra.structure_table()[0][11] == ((11, -1),)
+    assert algebra.labels()[0] == ("h", 1)
     assert algebra.label_index()[("h", 1)] == 0
-    assert lattice.ZERO not in algebra._module_root_index()
+    assert algebra._module_leads()[0] == (13, 1)
+
+
+def _assert_cell(cell):
+    """A well-formed ``Cell``: a tuple of (int index, nonzero int coefficient)
+    pairs with strictly increasing indices."""
+    assert type(cell) is tuple
+    for pair in cell:
+        assert type(pair) is tuple and len(pair) == 2
+        assert type(pair[0]) is int and type(pair[1]) is int and pair[1] != 0
+    indices = [k for k, _ in cell]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert all(0 <= k < algebra.DIM for k in indices)
 
 
 def test_structure_table_and_sigma_shape():
@@ -77,20 +96,36 @@ def test_structure_table_and_sigma_shape():
     for row in table:
         assert type(row) is tuple and len(row) == algebra.DIM
         for cell in row:
-            assert type(cell) is tuple
-            for pair in cell:
-                assert type(pair) is tuple and len(pair) == 2
-                assert type(pair[0]) is int and type(pair[1]) is int and pair[1] != 0
-            indices = [k for k, _ in cell]
-            assert all(a < b for a, b in zip(indices, indices[1:]))
+            _assert_cell(cell)
     perm = algebra.sigma()
     assert sorted(perm) == list(range(algebra.DIM))
     assert all(perm[perm[i]] == i for i in range(algebra.DIM))
     assert sum(perm[i] == i for i in range(algebra.DIM)) == 26
+    # sigma is the diagram flip read on labels: coroots follow the simple roots.
     labs = algebra.labels()
-    for i, lab in enumerate(labs):
-        image = algebra.involution(AlgebraElement._raw({lab: 1}))
-        assert image == AlgebraElement._raw({labs[perm[i]]: 1})
+    for i, (kind, value) in enumerate(labs):
+        if kind == "h":
+            image = lattice.diagram_involution(lattice.simple_root(value))
+            assert labs[perm[i]] == ("h", image.index(1) + 1)
+        else:
+            assert labs[perm[i]] == ("e", lattice.diagram_involution(value))
+
+
+def test_generators_module_basis_and_brackets_are_cells():
+    generators = [algebra.f4_generator(label) for label in GENERATOR_LABELS]
+    module = [algebra.v_basis(i) for i in range(1, 27)]
+    for cell in generators + module:
+        _assert_cell(cell)
+        assert cell != ()
+        assert bracket(cell, cell) == ()
+    # Every generator with every module element, and a spread of other pairs.
+    for g in generators:
+        for v in module:
+            _assert_cell(bracket(g, v))
+    for g, h in zip(generators, generators[7:] + generators[:7]):
+        _assert_cell(bracket(g, h))
+    for v, w in zip(module, module[5:] + module[:5]):
+        _assert_cell(bracket(v, w))
 
 
 def _first_moved_cell(kind):
@@ -167,71 +202,61 @@ def test_folded_generators_are_involution_fixed():
     for root4 in algebra.F4_POSITIVE:
         for sign in (1, -1):
             g = algebra.f4_root_vector(root4, sign)
-            assert algebra.involution(g) == g
+            assert relabel(g) == g
     for i in range(1, 5):
         h = algebra.f4_cartan(i)
-        assert algebra.involution(h) == h
+        assert relabel(h) == h
 
 
 def test_module_basis_is_odd_and_independent():
     vectors = []
     for i in range(1, 27):
         v = algebra.v_basis(i)
-        assert algebra.involution(v) == -v
-        vectors.append(v.coordinates())
+        assert relabel(v) == combine((-1, v))
+        vectors.append(dense(v))
     assert rank_of_vectors(vectors) == 26
 
 
 def test_decompose_v_roundtrip_and_rejection():
-    combo = AlgebraElement.zero()
-    for i, c in ((1, 3), (13, -2), (26, 1), (7, Fraction(1, 2))):
-        combo = combo + c * algebra.v_basis(i)
+    terms = ((1, 3), (13, -2), (26, 1), (7, Fraction(1, 2)))
+    combo = combine(*((c, algebra.v_basis(i)) for i, c in terms))
     coords = algebra.decompose_v(combo)
     assert coords[1] == 3 and coords[13] == -2 and coords[26] == 1
     assert coords[7] == Fraction(1, 2)
-    try:
-        algebra.decompose_v(AlgebraElement.coroot(2))
-    except ValueError:
-        pass
-    else:
-        assert False, "expected ValueError"
+    with pytest.raises(ValueError):
+        algebra.decompose_v(_coroot(2))
     # A root vector at an involution-fixed root is outside the module.
-    try:
+    with pytest.raises(ValueError):
         algebra.decompose_v(root_vector(lattice.simple_root(2)))
-    except ValueError:
-        pass
-    else:
-        assert False, "expected ValueError"
+    # E(seed) + E(sigma seed): the lead index of x1, with the wrong partner sign.
+    with pytest.raises(ValueError):
+        algebra.decompose_v(tuple((k, 1) for k, _ in algebra.v_basis(1)))
 
 
 def test_cached_module_basis_is_immutable():
-    element = algebra.v_basis(1)
-    before = dict(element.terms)
-    label = next(iter(before))
-    with pytest.raises(TypeError):
-        element.terms[label] = 2
-    with pytest.raises(TypeError):
-        del element.terms[label]
-    for method in ("clear", "pop", "popitem", "update", "setdefault"):
-        assert not hasattr(element.terms, method)
-    assert algebra.v_basis(1).terms == before
-    assert algebra.ad_on_v(algebra.f4_cartan(4))[0][0] == 1
+    cached = [algebra.v_basis(i) for i in (1, 4, 13)]
+    cached += [algebra.f4_generator(label) for label in (("h", 1), ("e", (0, 1, 0, 0), -1))]
+    for cell in cached:
+        assert type(cell) is tuple
+        with pytest.raises(TypeError):
+            cell[0] = (0, 1)
+    assert algebra.ad_on_v(algebra.f4_cartan(1))[3][3] == 1
 
 
 def test_cached_module_basis_cannot_be_rebound():
     element = algebra.v_basis(4)
-    before = dict(element.terms)
+    before = tuple(element)
     with pytest.raises(AttributeError):
-        element.terms = {}
-    with pytest.raises(AttributeError):
-        del element.terms
+        element.terms = ()
+    with pytest.raises(TypeError):
+        del element[0]
     assert algebra.v_basis(4) is element
-    assert element.terms == before
+    assert element == before
     assert algebra.ad_on_v(algebra.f4_cartan(1))[3][3] == 1
-    # Elements built from the cached one are ordinary, writable values.
-    other = -element
-    other.terms = {}
-    assert other.is_zero() and algebra.v_basis(4).terms == before
+    # Cells built from the cached one are new values; the cache is untouched.
+    other = algebra.bracket(algebra.f4_cartan(1), element)
+    assert other is not element and algebra.v_basis(4) == before
+    assert algebra.decompose_v(other)[4] == 1
 
 
 def test_ad_on_v_requires_fixed_element():
@@ -260,34 +285,44 @@ def test_ad_is_a_representation():
         (algebra.f4_root_vector((0, 0, 1, 0), 1), algebra.f4_root_vector((0, 1, 2, 2), 1)),
     ]
     for g, h in pairs:
-        gh = bracket(g, h)
-        left = algebra.ad_on_v(gh)
-        mg = algebra.ad_on_v(g)
-        mh = algebra.ad_on_v(h)
-        commutator = [
-            [
-                sum(mg[r][t] * mh[t][s] for t in range(26))
-                - sum(mh[r][t] * mg[t][s] for t in range(26))
-                for s in range(26)
-            ]
-            for r in range(26)
+        assert algebra.ad_on_v(bracket(g, h)) == _commutator(g, h)
+
+
+def _commutator(g, h):
+    """ad(g) ad(h) - ad(h) ad(g) on the module."""
+    mg = algebra.ad_on_v(g)
+    mh = algebra.ad_on_v(h)
+    return [
+        [
+            sum(mg[r][t] * mh[t][s] for t in range(26)) - sum(mh[r][t] * mg[t][s] for t in range(26))
+            for s in range(26)
         ]
-        assert left == commutator
+        for r in range(26)
+    ]
+
+
+def _combinations():
+    """Small-integer combinations of two of the 52 generators: sigma-fixed cells."""
+    term = st.tuples(st.integers(-3, 3), st.sampled_from(GENERATOR_LABELS))
+    return st.tuples(term, term).map(
+        lambda pair: combine(*((c, algebra.f4_generator(label)) for c, label in pair))
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_combinations(), _combinations())
+def test_ad_is_a_lie_homomorphism(g, h):
+    assert algebra.ad_on_v(bracket(g, h)) == _commutator(g, h)
 
 
 def test_simple_pair_brackets_give_negated_diagonal():
     for i, root4 in enumerate(algebra.F4_SIMPLE, start=1):
         plus = algebra.f4_root_vector(root4, 1)
         minus = algebra.f4_root_vector(root4, -1)
-        assert bracket(plus, minus) == -algebra.f4_cartan(i)
+        assert bracket(plus, minus) == combine((-1, algebra.f4_cartan(i)))
 
 
 def test_folded_generator_count_is_52():
-    vectors = []
-    for i in range(1, 5):
-        vectors.append(algebra.f4_cartan(i).coordinates())
-    for root4 in algebra.F4_POSITIVE:
-        vectors.append(algebra.f4_root_vector(root4, 1).coordinates())
-        vectors.append(algebra.f4_root_vector(root4, -1).coordinates())
+    vectors = [dense(algebra.f4_generator(label)) for label in GENERATOR_LABELS]
     assert len(vectors) == 52
     assert rank_of_vectors(vectors) == 52

@@ -77,8 +77,11 @@ def test_tracer_counts_laplacian_basis_gate():
 
 
 def test_tracer_counts_verify_seeds_gate():
-    """Building the 52 operators makes the oracle builds the verify-seeds gate pins."""
+    """Building the 52 operators makes the oracle builds the verify-seeds gate
+    pins, and 52*26 = 1,352 brackets, one per generator and module basis
+    element: the per-child form of the gate's 10,816 = 8*1,352."""
     report = traced(
         "for label in representation.operator_labels(): representation.operator(label)"
     )
     assert report["spans"]["representation.oracle_operator"][0] == 52
+    assert report["spans"]["algebra.bracket"][0] == 1352
