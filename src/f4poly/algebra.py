@@ -272,31 +272,29 @@ def _module_leads() -> Mapping[int, Tuple[int, int]]:
     return MappingProxyType({v_basis(i)[0][0]: (i, v_basis(i)[0][1]) for i in range(1, 27)})
 
 
-def decompose_v(element: Cell) -> List[Coeff]:
-    """Coordinates (index 1..26; entry 0 unused) in the module basis.
+def decompose_v(element: Cell) -> Tuple[Tuple[int, Coeff], ...]:
+    """Coordinates in the module basis as (index 1..26, coefficient) pairs,
+    indices increasing and coefficients nonzero.
 
     Each coordinate is read from its basis element's lead index; every lead
     coefficient is +-1, so multiplying by it divides by it.  Raises
     ValueError unless the coordinates rebuild the element exactly.
     """
     leads = _module_leads()
-    coords: List[Coeff] = [0] * 27
-    for k, c in element:
-        if k in leads:
-            i, lead = leads[k]
-            coords[i] = c * lead
+    coords = sorted((leads[k][0], c * leads[k][1]) for k, c in element if k in leads)
     acc: Dict[int, Coeff] = {}
-    for i, x in enumerate(coords):
-        if x:
-            for k, c in v_basis(i):
-                acc[k] = acc.get(k, 0) + x * c
+    for i, x in coords:
+        for k, c in v_basis(i):
+            acc[k] = acc.get(k, 0) + x * c
     if _cell(acc) != element:
         raise ValueError("element is not in the span of the module basis")
-    return coords
+    return tuple(coords)
 
 
-def ad_on_v(element: Cell) -> List[List[Coeff]]:
-    """26x26 matrix of the adjoint action on the module basis.
+def ad_on_v(element: Cell) -> Tuple[Tuple[int, int, Coeff], ...]:
+    """Adjoint action on the module basis as the nonzero cells (i, j, c) of
+    its 26x26 matrix, 0-based: [element, x_(j+1)] has coefficient c on
+    x_(i+1).  Cells run column by column, rows increasing in each.
 
     Requires the element to be fixed by the involution, so that the action
     preserves the odd eigenspace.
@@ -304,8 +302,9 @@ def ad_on_v(element: Cell) -> List[List[Coeff]]:
     perm = sigma()
     if tuple(sorted((perm[k], c) for k, c in element)) != element:
         raise ValueError("element is not fixed by the algebra involution")
-    columns = [decompose_v(bracket(element, v_basis(j))) for j in range(1, 27)]
-    return [[columns[j][i + 1] for j in range(26)] for i in range(26)]
+    return tuple(
+        (i - 1, j, c) for j in range(26) for i, c in decompose_v(bracket(element, v_basis(j + 1)))
+    )
 
 
 def f4_generator(label: Tuple) -> Cell:

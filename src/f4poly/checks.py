@@ -94,10 +94,7 @@ def _random_polynomial(rng: random.Random, degree: int, terms: int) -> poly.Poly
 
 def rep_checks(rng: random.Random) -> List[Check]:
     labels = representation.operator_labels()
-    cells = {
-        (r["label"], r["row"], r["col"], r["transcribed"], r["oracle"])
-        for r in representation.validate_table()
-    }
+    cells = set(representation.validate_table())
     known = {
         ("E+(0,1,1,0)", 3, 5, "1", "-1"),
         ("E+(0,1,1,0)", 22, 24, "-1", "1"),

@@ -171,8 +171,7 @@ def _cmd_harmonic(args: argparse.Namespace) -> Result:
 def _cmd_errata(args: argparse.Namespace) -> Result:
     from . import representation
 
-    # json.dumps rejects the read-only records, so copy them into dicts.
-    table = [dict(record) for record in representation.validate_table()]
+    table = [record._asdict() for record in representation.validate_table()]
     formulas = representation.formula_errata()
     lines = [f"operator-table cells differing from the oracle: {len(table)}"]
     for record in table:

@@ -108,9 +108,6 @@ class Polynomial:
         """Total degree, or -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def coefficient(self, exp: Sequence[int]) -> Coeff:
-        return self.terms.get(tuple(exp), 0)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -122,9 +119,6 @@ class Polynomial:
                 return not self.terms
             return self.terms == {ZERO_EXP: other}
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -292,22 +286,6 @@ class Derivation:
         """Build sum of c * x_r * d/dx_s from (r, s, c) triples (1-based)."""
         return cls((r - 1, s - 1, c) for r, s, c in terms)
 
-    @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[Coeff]]) -> "Derivation":
-        """Linear operator with entries m[i][j]: x_(i+1) coefficient on d/dx_(j+1).
-        The matrix must be 26x26; only its nonzero cells are read."""
-        if len(matrix) != NVARS or any(len(row) != NVARS for row in matrix):
-            raise ValueError(f"operator matrix must be {NVARS}x{NVARS}")
-        return cls((i, j, c) for i, row in enumerate(matrix) for j, c in enumerate(row) if c)
-
-    def matrix(self) -> List[List[Coeff]]:
-        """Dense 26x26 matrix m[i][j]: x_(i+1) coefficient on d/dx_(j+1)."""
-        out = [[0] * NVARS for _ in range(NVARS)]
-        for j, entries in self.columns:
-            for i, c in entries:
-                out[i][j] = c
-        return out
-
     def apply(self, poly: Polynomial) -> Polynomial:
         """Act on each monomial: x^e -> sum of c * e[j] * x^(e - e_j + e_i)."""
         out: Dict[Exponent, Coeff] = {}
@@ -350,21 +328,6 @@ class Derivation:
     def __repr__(self) -> str:
         pieces = [f"{c}*x{i + 1}*d{j + 1}" for j, entries in self.columns for i, c in entries]
         return "Derivation(" + (" + ".join(pieces) or "0") + ")"
-
-
-# Per variable j, the (shift, c) pairs of an operator's cells in column j.
-ShiftTable = Tuple[Tuple[Tuple[int, Coeff], ...], ...]
-
-
-def shift_table(op: Derivation, base: int) -> ShiftTable:
-    """op's cells by column, for monomials coded as the sum of e[v] * base**v:
-    entry j holds (base**i - base**j, c) for each cell (i, j, c), i increasing.
-    The cell sends x^e to c * e[j] times the monomial whose code is the code
-    of x^e plus that shift."""
-    table: List[Tuple[Tuple[int, Coeff], ...]] = [()] * NVARS
-    for j, entries in op.columns:
-        table[j] = tuple((base**i - base**j, c) for i, c in entries)
-    return tuple(table)
 
 
 def dual_op(op: Derivation) -> Derivation:

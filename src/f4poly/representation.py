@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import algebra, linalg, poly
 from .algebra import F4Root
@@ -166,39 +166,45 @@ def transcribed_operator(label: OperatorLabel) -> Derivation:
 @lru_cache(maxsize=None)
 def oracle_operator(label: OperatorLabel) -> Derivation:
     """Operator derived from the algebra construction via the adjoint action."""
-    return Derivation.from_matrix(algebra.ad_on_v(algebra.f4_generator(label)))
+    return Derivation(algebra.ad_on_v(algebra.f4_generator(label)))
 
 
 # The construction-derived operators are authoritative downstream.
 operator = oracle_operator
 
 
+class TableErratum(NamedTuple):
+    """A cell where the printed operator table differs from the oracle; row
+    and col are the 1-based variables of its c * x_row * d/dx_col term."""
+
+    label: str
+    row: int
+    col: int
+    transcribed: str
+    oracle: str
+
+
 @lru_cache(maxsize=None)
-def validate_table() -> Tuple[Mapping[str, object], ...]:
-    """Mismatched matrix entries between transcribed operators and the oracle.
+def validate_table() -> Tuple[TableErratum, ...]:
+    """Cells where the transcribed operators differ from the oracle, in
+    operator order, then by row and column.
 
     Kept as an independent cross-check: the printed table is compared cell by
     cell with the operators derived from the construction.  The records are
-    cached and shared, so each is a read-only mapping.
+    cached and shared, and each is an immutable tuple.
     """
-    records: List[Dict[str, object]] = []
+    records: List[TableErratum] = []
     for label in operator_labels():
-        transcribed = transcribed_operator(label).matrix()
-        oracle = oracle_operator(label).matrix()
+        transcribed, oracle = (
+            {(i, j): c for j, entries in op.columns for i, c in entries}
+            for op in (transcribed_operator(label), oracle_operator(label))
+        )
         name = label_string(label)
-        for r in range(26):
-            for s in range(26):
-                if transcribed[r][s] != oracle[r][s]:
-                    records.append(
-                        {
-                            "label": name,
-                            "row": r + 1,
-                            "col": s + 1,
-                            "transcribed": str(Fraction(transcribed[r][s])),
-                            "oracle": str(Fraction(oracle[r][s])),
-                        }
-                    )
-    return tuple(MappingProxyType(record) for record in records)
+        for i, j in sorted(transcribed.keys() | oracle.keys()):
+            a, b = transcribed.get((i, j), 0), oracle.get((i, j), 0)
+            if a != b:
+                records.append(TableErratum(name, i + 1, j + 1, str(Fraction(a)), str(Fraction(b))))
+    return tuple(records)
 
 
 def simple_raising() -> List[Derivation]:
@@ -626,7 +632,22 @@ def _coded(monomials: Sequence[poly.Exponent], base: int) -> List[Coded]:
     return coded
 
 
-def _block_rows(coded: Sequence[Coded], tables: Sequence[poly.ShiftTable]) -> List[Dict[int, Coeff]]:
+# Per variable j, the (shift, c) pairs of an operator's cells in column j.
+ShiftTable = Tuple[Tuple[Tuple[int, Coeff], ...], ...]
+
+
+def _shift_table(op: Derivation, base: int) -> ShiftTable:
+    """op's cells by column, for monomials coded as the sum of e[v] * base**v:
+    entry j holds (base**i - base**j, c) for each cell (i, j, c), i increasing.
+    The cell sends x^e to c * e[j] times the monomial whose code is the code
+    of x^e plus that shift."""
+    table: List[Tuple[Tuple[int, Coeff], ...]] = [()] * poly.NVARS
+    for j, entries in op.columns:
+        table[j] = tuple((base**i - base**j, c) for i, c in entries)
+    return tuple(table)
+
+
+def _block_rows(coded: Sequence[Coded], tables: Sequence[ShiftTable]) -> List[Dict[int, Coeff]]:
     """The rows of one weight block: row (operator index, target code) holds, at
     column j, the coefficient of the target in the image of monomial j.  Rows
     appear in the order Derivation.apply writes the images, monomial by
@@ -654,15 +675,15 @@ def singular_vectors(degree: int) -> SingularReport:
     most `degree`, so these are base-(degree+1) digits and distinct monomials
     get distinct codes; an operator cell (i, j, c) sends the code n of x^e to
     n + (degree+1)**i - (degree+1)**j with coefficient c * e[j] (the shift
-    tables of poly.shift_table).  Only the returned basis is built as
+    tables of _shift_table).  Only the returned basis is built as
     polynomials.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     base = degree + 1
-    simples = [poly.shift_table(op, base) for op in simple_raising()]
+    simples = [_shift_table(op, base) for op in simple_raising()]
     raisers = [
-        poly.shift_table(operator(("e", root, 1)), base)
+        _shift_table(operator(("e", root, 1)), base)
         for root in algebra.F4_POSITIVE
         if root not in algebra.F4_SIMPLE
     ]

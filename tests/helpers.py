@@ -2,8 +2,9 @@
 ``Derivation.apply`` and ``representation.apply_laplacian`` are checked, the
 row assembly by ``Derivation.apply`` that ``representation.singular_vectors``
 is checked against, the plain monomial enumeration that
-``poly.monomials_of_degree`` is checked against, small functions only the
-tests use, and pools of small exact values for hypothesis to sample."""
+``poly.monomials_of_degree`` is checked against, the dense operator matrix
+that products of operators are checked with, small functions only the tests
+use, and pools of small exact values for hypothesis to sample."""
 
 import math
 from collections import Counter
@@ -146,6 +147,20 @@ def dense(cell):
     out = [0] * algebra.DIM
     for k, c in cell:
         out[k] = c
+    return out
+
+
+def operator_cells(op):
+    """The (i, j, c) cells of a Derivation, column by column."""
+    return tuple((i, j, c) for j, entries in op.columns for i, c in entries)
+
+
+def dense_matrix(cells):
+    """The 26x26 matrix m[i][j] = c of operator cells (i, j, c), 0-based; the
+    tests' reference for products of operators."""
+    out = [[0] * NVARS for _ in range(NVARS)]
+    for i, j, c in cells:
+        out[i][j] = c
     return out
 
 

@@ -11,8 +11,10 @@ from f4poly.algebra import bracket
 from helpers import (
     combine,
     dense,
+    dense_matrix,
     invariant_positive_roots,
     moved_positive_orbits,
+    operator_cells,
     rank_of_vectors,
     relabel,
     root_vector,
@@ -221,8 +223,7 @@ def test_decompose_v_roundtrip_and_rejection():
     terms = ((1, 3), (13, -2), (26, 1), (7, Fraction(1, 2)))
     combo = combine(*((c, algebra.v_basis(i)) for i, c in terms))
     coords = algebra.decompose_v(combo)
-    assert coords[1] == 3 and coords[13] == -2 and coords[26] == 1
-    assert coords[7] == Fraction(1, 2)
+    assert coords == ((1, 3), (7, Fraction(1, 2)), (13, -2), (26, 1))
     with pytest.raises(ValueError):
         algebra.decompose_v(_coroot(2))
     # A root vector at an involution-fixed root is outside the module.
@@ -240,7 +241,7 @@ def test_cached_module_basis_is_immutable():
         assert type(cell) is tuple
         with pytest.raises(TypeError):
             cell[0] = (0, 1)
-    assert algebra.ad_on_v(algebra.f4_cartan(1))[3][3] == 1
+    assert (3, 3, 1) in algebra.ad_on_v(algebra.f4_cartan(1))
 
 
 def test_cached_module_basis_cannot_be_rebound():
@@ -252,11 +253,11 @@ def test_cached_module_basis_cannot_be_rebound():
         del element[0]
     assert algebra.v_basis(4) is element
     assert element == before
-    assert algebra.ad_on_v(algebra.f4_cartan(1))[3][3] == 1
+    assert (3, 3, 1) in algebra.ad_on_v(algebra.f4_cartan(1))
     # Cells built from the cached one are new values; the cache is untouched.
     other = algebra.bracket(algebra.f4_cartan(1), element)
     assert other is not element and algebra.v_basis(4) == before
-    assert algebra.decompose_v(other)[4] == 1
+    assert algebra.decompose_v(other) == ((4, 1),)
 
 
 def test_ad_on_v_requires_fixed_element():
@@ -268,13 +269,33 @@ def test_ad_on_v_requires_fixed_element():
         assert False, "expected ValueError"
 
 
+def test_ad_on_v_gives_the_nonzero_cells_column_by_column():
+    for label in GENERATOR_LABELS:
+        cells = algebra.ad_on_v(algebra.f4_generator(label))
+        assert type(cells) is tuple and cells
+        assert all(0 <= i < 26 and 0 <= j < 26 and c for i, j, c in cells)
+        # Column then row, strictly increasing, so each (i, j) occurs once.
+        order = [(j, i) for i, j, _ in cells]
+        assert order == sorted(set(order))
+        assert operator_cells(poly.Derivation(cells)) == cells
+
+
+def test_decompose_v_gives_sorted_nonzero_coordinates():
+    for label in GENERATOR_LABELS:
+        g = algebra.f4_generator(label)
+        for j in range(1, 27):
+            coords = algebra.decompose_v(bracket(g, algebra.v_basis(j)))
+            indices = [i for i, _ in coords]
+            assert indices == sorted(set(indices))
+            assert all(1 <= i <= 26 and c for i, c in coords)
+    assert algebra.decompose_v(()) == ()
+
+
 def test_cartan_action_is_diagonal_with_module_weights():
     for i in range(1, 5):
-        matrix = algebra.ad_on_v(algebra.f4_cartan(i))
-        for r in range(26):
-            for s in range(26):
-                expected = poly.VARIABLE_WEIGHTS[r][i - 1] if r == s else 0
-                assert matrix[r][s] == expected
+        weights = [w[i - 1] for w in poly.VARIABLE_WEIGHTS]
+        expected = tuple((r, r, w) for r, w in enumerate(weights) if w)
+        assert algebra.ad_on_v(algebra.f4_cartan(i)) == expected
 
 
 def test_ad_is_a_representation():
@@ -285,13 +306,13 @@ def test_ad_is_a_representation():
         (algebra.f4_root_vector((0, 0, 1, 0), 1), algebra.f4_root_vector((0, 1, 2, 2), 1)),
     ]
     for g, h in pairs:
-        assert algebra.ad_on_v(bracket(g, h)) == _commutator(g, h)
+        assert dense_matrix(algebra.ad_on_v(bracket(g, h))) == _commutator(g, h)
 
 
 def _commutator(g, h):
-    """ad(g) ad(h) - ad(h) ad(g) on the module."""
-    mg = algebra.ad_on_v(g)
-    mh = algebra.ad_on_v(h)
+    """ad(g) ad(h) - ad(h) ad(g) on the module, as a dense matrix."""
+    mg = dense_matrix(algebra.ad_on_v(g))
+    mh = dense_matrix(algebra.ad_on_v(h))
     return [
         [
             sum(mg[r][t] * mh[t][s] for t in range(26)) - sum(mh[r][t] * mg[t][s] for t in range(26))
@@ -312,7 +333,7 @@ def _combinations():
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_combinations(), _combinations())
 def test_ad_is_a_lie_homomorphism(g, h):
-    assert algebra.ad_on_v(bracket(g, h)) == _commutator(g, h)
+    assert dense_matrix(algebra.ad_on_v(bracket(g, h))) == _commutator(g, h)
 
 
 def test_simple_pair_brackets_give_negated_diagonal():

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from f4poly import poly
 from f4poly.poly import Derivation, Polynomial
-from helpers import exact_values, is_homogeneous, partial, plain_monomials, poly_from_json
+from helpers import (
+    dense_matrix,
+    exact_values,
+    is_homogeneous,
+    operator_cells,
+    partial,
+    plain_monomials,
+    poly_from_json,
+)
 
 
 def x(i):
@@ -102,12 +110,9 @@ def test_basic_arithmetic(f, g, h):
 
 def reference_apply(op, f):
     """The defining sum over the operator's cells of c * x_(i+1) * df/dx_(j+1)."""
-    m = op.matrix()
     total = Polynomial.zero()
-    for i in range(26):
-        for j in range(26):
-            if m[i][j]:
-                total = total + m[i][j] * x(i + 1) * partial(f, j + 1)
+    for i, j, c in operator_cells(op):
+        total = total + c * x(i + 1) * partial(f, j + 1)
     return total
 
 
@@ -127,28 +132,28 @@ def test_derivation_apply_and_leibniz(op, f, g):
 def test_derivation_commutator(a, b, f):
     c = a.commutator(b)
     assert c(f) == a(b(f)) - b(a(f))
-    ma, mb = a.matrix(), b.matrix()
+    ma, mb = dense_matrix(operator_cells(a)), dense_matrix(operator_cells(b))
     product = [[sum(ma[i][k] * mb[k][j] for k in range(26)) for j in range(26)] for i in range(26)]
     reverse = [[sum(mb[i][k] * ma[k][j] for k in range(26)) for j in range(26)] for i in range(26)]
-    assert c.matrix() == [[p - q for p, q in zip(*rows)] for rows in zip(product, reverse)]
-    assert Derivation.from_matrix(a.matrix()) == a
+    assert dense_matrix(operator_cells(c)) == [
+        [p - q for p, q in zip(*rows)] for rows in zip(product, reverse)
+    ]
+    assert Derivation(operator_cells(a)) == a
 
 
 def test_derivation_matrix_roundtrip():
     op = Derivation.from_terms([(1, 2, 3), (5, 2, -1), (7, 26, 2)])
-    m = op.matrix()
-    assert m[0][1] == 3 and m[4][1] == -1 and m[6][25] == 2
-    assert Derivation.from_matrix(m) == op == Derivation([(0, 1, 3), (4, 1, -1), (6, 25, 2)])
+    assert op.columns == ((1, ((0, 3), (4, -1))), (25, ((6, 2),)))
+    assert operator_cells(op) == ((0, 1, 3), (4, 1, -1), (6, 25, 2))
+    assert Derivation(reversed(operator_cells(op))) == op
 
 
 @pytest.mark.parametrize(
-    "matrix",
-    [[[0] * 26] * 27, [[0] * 26] * 25, [[0] * 26] * 25 + [[0] * 25], [[0] * 26] * 25 + [[0] * 27]],
-    ids=["27 rows", "25 rows", "short row", "long row"],
+    "cell", [(26, 0, 1), (0, 26, 1), (-1, 0, 1)], ids=["row 26", "col 26", "row -1"]
 )
-def test_from_matrix_rejects_a_matrix_that_is_not_26_by_26(matrix):
+def test_derivation_rejects_a_cell_outside_the_matrix(cell):
     with pytest.raises(ValueError):
-        Derivation.from_matrix(matrix)
+        Derivation([cell])
 
 
 @PROPERTY_SETTINGS

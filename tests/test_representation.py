@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from f4poly import algebra, dimensions, poly, representation as rep
 from f4poly.poly import Derivation, Polynomial
-from helpers import exact_values, partial, predicted_weight_counts, reference_block_rows
+from helpers import (
+    dense_matrix,
+    exact_values,
+    operator_cells,
+    partial,
+    predicted_weight_counts,
+    reference_block_rows,
+)
 
 X = Polynomial.variable
 A1, A2, A3, A4 = algebra.F4_SIMPLE
@@ -36,25 +43,20 @@ def test_operators_preserve_degree_and_cartans_are_diagonal():
         g = rep.operator(label).apply(f)
         assert g.is_zero() or g.degree() == 2
     for i in range(1, 5):
-        op = rep.operator(("h", i))
-        matrix = op.matrix()
-        for r in range(26):
-            for s in range(26):
-                if r != s:
-                    assert matrix[r][s] == 0
+        assert all(r == s for r, s, _ in operator_cells(rep.operator(("h", i))))
 
 
 def test_cached_operators_are_immutable():
     op = rep.operator(("h", 1))
-    before = op.matrix()
-    assert before[3][3] == 1
+    before = op.columns
+    assert (3, 3, 1) in operator_cells(op)
     with pytest.raises(TypeError):
         op.columns[0] = (0, ())
     with pytest.raises(AttributeError):
         op.columns = ()
     with pytest.raises(AttributeError):
         del op.columns
-    assert rep.operator(("h", 1)).matrix() == before
+    assert rep.operator(("h", 1)).columns == before
 
 
 def test_cached_quadratic_copy_is_immutable():
@@ -108,35 +110,80 @@ def test_harmonic_bound_builds_the_cubic_invariant_at_most_once():
 
 def test_cached_errata_records_are_read_only():
     record = rep.validate_table()[0]
+    with pytest.raises(AttributeError):
+        record.oracle = "0"
     with pytest.raises(TypeError):
-        record["oracle"] = "0"
+        record[4] = "0"
     with pytest.raises(TypeError):
-        del record["label"]
-    assert rep.validate_table()[0]["oracle"] == "-1"
+        del record[0]
+    assert rep.validate_table()[0].oracle == "-1"
+
+
+def test_errata_records_are_named_tuples_in_table_order():
+    records = rep.validate_table()
+    assert type(records) is tuple and len(records) == 4
+    assert all(type(record) is rep.TableErratum for record in records)
+    position = {rep.label_string(label): k for k, label in enumerate(rep.operator_labels())}
+    keys = [(position[record.label], record.row, record.col) for record in records]
+    assert keys == sorted(set(keys))
+
+
+def _dense_errata(transcribed):
+    """The errata as a dense diff: every entry of the two 26x26 matrices,
+    operator by operator, row by row."""
+    records = []
+    for label in rep.operator_labels():
+        printed = dense_matrix(operator_cells(transcribed(label)))
+        derived = dense_matrix(operator_cells(rep.oracle_operator(label)))
+        for r in range(26):
+            for s in range(26):
+                if printed[r][s] != derived[r][s]:
+                    a, b = str(Fraction(printed[r][s])), str(Fraction(derived[r][s]))
+                    records.append((rep.label_string(label), r + 1, s + 1, a, b))
+    return tuple(records)
+
+
+def test_errata_match_the_dense_diff_with_planted_operators(monkeypatch):
+    """Two operators transcribed as zero put all 18 and 12 of their oracle
+    cells among the errata, in the order of the dense diff."""
+    printed = rep.transcribed_operator
+    planted = {("h", 3), ("e", (1, 2, 3, 1), 1)}
+
+    def transcribed(label):
+        return Derivation() if label in planted else printed(label)
+
+    monkeypatch.setattr(rep, "transcribed_operator", transcribed)
+    rep.validate_table.cache_clear()
+    try:
+        records = rep.validate_table()
+    finally:
+        rep.validate_table.cache_clear()
+    assert len(records) == 4 + 18 + 12
+    assert records == _dense_errata(transcribed)
 
 
 def test_every_other_operator_matches_oracle():
-    flagged = {r["label"] for r in rep.validate_table()}
+    flagged = {r.label for r in rep.validate_table()}
     for label in rep.operator_labels():
         if rep.label_string(label) in flagged:
             continue
-        assert rep.transcribed_operator(label).matrix() == rep.operator(label).matrix()
+        assert rep.transcribed_operator(label) == rep.operator(label)
 
 
 def test_simple_pair_commutators_equal_minus_cartan():
     for i, root in enumerate(algebra.F4_SIMPLE, start=1):
         raising = rep.transcribed_operator(("e", root, 1))
         lowering = rep.transcribed_operator(("e", root, -1))
-        comm = raising.commutator(lowering).matrix()
-        cartan = rep.transcribed_operator(("h", i)).matrix()
-        assert comm == [[-entry for entry in row] for row in cartan]
+        comm = raising.commutator(lowering)
+        cartan = rep.transcribed_operator(("h", i))
+        assert operator_cells(comm) == tuple((r, s, -c) for r, s, c in operator_cells(cartan))
 
 
 def test_lowering_operators_are_mirror_conjugates():
     for root in algebra.F4_POSITIVE:
         raising = rep.operator(("e", root, 1))
         lowering = rep.operator(("e", root, -1))
-        assert poly.dual_op(raising).matrix() == lowering.matrix()
+        assert poly.dual_op(raising) == lowering
     for printed, root in zip(rep.LOWERING_SIMPLE_TERMS, algebra.F4_SIMPLE):
         assert Derivation.from_terms(printed) == rep.transcribed_operator(("e", root, -1))
 
