@@ -202,16 +202,27 @@ def _inverse_one_minus_t_k(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(order, coeffs)
 
 
+def module_exponents(degree: int) -> List[Tuple[int, int, int]]:
+    """Exponents (m1, m2, m3) of x1^m1 * zeta1^m2 * theta^m3 with m1 + 2m2 + 3m3 = degree."""
+    pairs = ((m2, m3) for m3 in range(degree // 3 + 1) for m2 in range((degree - 3 * m3) // 2 + 1))
+    return [(degree - 2 * m2 - 3 * m3, m2, m3) for m2, m3 in pairs]
+
+
+def highest_weight(exponents: Sequence[int]) -> Tuple[int, int]:
+    """(k, l) with k*w3 + l*w4 the highest weight of a product of the five generators."""
+    m1, m2, m3 = exponents[:3]
+    return m3, m1 + m2
+
+
+def _module_dims(degree: int) -> int:
+    """Total dimension of the modules generated by the products of x1, zeta1 and theta."""
+    return sum(weyl_dim(*highest_weight(m)) for m in module_exponents(degree))
+
+
 @lru_cache(maxsize=None)
 def rhs_series(order: int) -> TruncatedSeries:
-    """Sum of weyl_dim(k1, k2+k3) * t^(3k1+2k2+k3), truncated."""
-    coeffs = [0] * (order + 1)
-    for k1 in range(order // 3 + 1):
-        for k2 in range((order - 3 * k1) // 2 + 1):
-            base = 3 * k1 + 2 * k2
-            for k3 in range(order - base + 1):
-                coeffs[base + k3] += weyl_dim(k1, k2 + k3)
-    return TruncatedSeries.from_coeffs(order, coeffs)
+    """Sum of _module_dims(n) * t^n, truncated."""
+    return TruncatedSeries(order, tuple(map(_module_dims, range(order + 1))))
 
 
 class IdentityReport(NamedTuple):
@@ -269,18 +280,11 @@ def verify_identity_26(order: int) -> IdentityFamilyReport:
 
 
 def generator_exponents(degree: int) -> List[Tuple[int, int, int, int, int]]:
-    """Exponent tuples (m1..m5) with m1 + 2m2 + 3m3 + 2m4 + 3m5 = degree."""
-    out = []
-    for m5 in range(degree // 3 + 1):
-        for m4 in range((degree - 3 * m5) // 2 + 1):
-            for m3 in range((degree - 3 * m5 - 2 * m4) // 3 + 1):
-                for m2 in range((degree - 3 * m5 - 2 * m4 - 3 * m3) // 2 + 1):
-                    m1 = degree - 3 * m5 - 2 * m4 - 3 * m3 - 2 * m2
-                    out.append((m1, m2, m3, m4, m5))
-    return sorted(out, reverse=True)
+    """(m1..m5) with m1 + 2m2 + 3m3 + 2m4 + 3m5 = degree, descending (eta1, eta2 weigh 2, 3)."""
+    tuples = ((*m, m4, m5) for r, m4, m5 in module_exponents(degree) for m in module_exponents(r))
+    return sorted(tuples, reverse=True)
 
 
 def branching_sum(degree: int) -> int:
     """Total dimension of the modules generated at this polynomial degree."""
-    return sum(weyl_dim(m3, m1 + m2) for m1, m2, m3, _, _ in generator_exponents(degree))
-
+    return sum(_module_dims(r) for r, _, _ in module_exponents(degree))

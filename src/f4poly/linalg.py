@@ -38,11 +38,14 @@ Row = Dict[int, int]
 
 
 def _to_int_row(row: Dict[int, object]) -> Row:
-    """Clear denominators and divide by the content; drop zeros."""
+    """Clear denominators and divide by the content; drop zeros.  Entries must
+    be exact: anything but an int or a Fraction raises TypeError."""
     den = 1
     for c in row.values():
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
+        elif not isinstance(c, int):
+            raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
     out: Row = {}
     g = 0
     for col, c in row.items():

@@ -68,7 +68,7 @@ class Polynomial:
         clean: Dict[Exponent, Coeff] = {}
         if terms:
             for exp, coeff in terms.items():
-                if coeff:
+                if _as_coeff(coeff):
                     clean[exp] = coeff
         self.terms = clean
 
@@ -225,7 +225,7 @@ def from_pairs(pairs: Iterable[Tuple[Coeff, Sequence[int]]]) -> Polynomial:
         for idx in indices:
             exp[idx - 1] += 1
         key = tuple(exp)
-        new = acc.get(key, 0) + coeff
+        new = acc.get(key, 0) + _as_coeff(coeff)
         if new:
             acc[key] = new
         elif key in acc:
@@ -267,7 +267,7 @@ class Derivation:
             if not (0 <= i < NVARS and 0 <= j < NVARS):
                 raise ValueError(f"matrix cell ({i}, {j}) is outside 0..{NVARS - 1}")
             column = acc.setdefault(j, {})
-            column[i] = column.get(i, 0) + c
+            column[i] = column.get(i, 0) + _as_coeff(c)
         columns = []
         for j in sorted(acc):
             entries = tuple(sorted((i, c) for i, c in acc[j].items() if c))

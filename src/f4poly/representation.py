@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import algebra, linalg, poly
 from .algebra import F4Root
-from .dimensions import generator_exponents
+from .dimensions import generator_exponents, highest_weight, module_exponents
 from .poly import Derivation, Polynomial
 
 Coeff = Union[int, Fraction]
@@ -608,8 +608,7 @@ class SingularReport(NamedTuple):
 
 
 def predicted_weight(exponents: Sequence[int]) -> Tuple[int, int, int, int]:
-    m1, m2, m3, m4, m5 = exponents
-    return (0, 0, m3, m1 + m2)
+    return (0, 0, *highest_weight(exponents))
 
 
 def generator_product(exponents: Sequence[int]) -> Polynomial:
@@ -864,8 +863,7 @@ def harmonic_witnesses(degree: int) -> Iterator[Tuple[Tuple[int, ...], Polynomia
         raise ValueError("witness construction needs degree >= 2")
     return (
         (exps, generator_product(exps))
-        for exps in generator_exponents(degree)
-        if exps[1] <= 1 and exps[3] == exps[4] == 0
+        for exps in ((*m, 0, 0) for m in module_exponents(degree) if m[1] <= 1)
     )
 
 

@@ -222,3 +222,50 @@ def test_branching_matches_monomial_count_through_8():
 
 def test_generator_exponents_counts():
     assert [len(dim.generator_exponents(k)) for k in range(5)] == [1, 1, 3, 5, 8]
+
+
+def partition_counts(degrees, order):
+    """Coefficients of 1/prod(1 - t^d) over the given degrees, through t^order."""
+    series = dim.TruncatedSeries.from_coeffs(order, (1,))
+    for d in degrees:
+        indicator = [1 if n % d == 0 else 0 for n in range(order + 1)]
+        series = series * dim.TruncatedSeries.from_coeffs(order, indicator)
+    return series.coeffs
+
+
+def test_generator_exponents_are_every_product_once():
+    counts = partition_counts((1, 2, 3, 2, 3), 40)
+    for k in range(41):
+        exps = dim.generator_exponents(k)
+        assert len(exps) == len(set(exps)) == counts[k]
+        assert all(m1 + 2 * m2 + 3 * m3 + 2 * m4 + 3 * m5 == k for m1, m2, m3, m4, m5 in exps)
+        assert exps == sorted(exps, reverse=True)
+
+
+def test_module_exponents_are_every_product_of_x1_zeta1_theta_once():
+    counts = partition_counts((1, 2, 3), 60)
+    for n in range(61):
+        exps = dim.module_exponents(n)
+        assert len(exps) == len(set(exps)) == counts[n]
+        assert all(min(m) >= 0 and m[0] + 2 * m[1] + 3 * m[2] == n for m in exps)
+
+
+def test_highest_weight_reads_theta_and_x1_plus_zeta1():
+    assert dim.highest_weight((2, 3, 5)) == (5, 5)
+    assert dim.highest_weight((1, 0, 4, 7, 9)) == (4, 1)
+
+
+def test_rhs_series_matches_the_triple_loop():
+    """The reference is a plain triple loop over the exponents of theta, zeta1 and x1."""
+    order = 40
+    coeffs = [0] * (order + 1)
+    for k1 in range(order // 3 + 1):
+        for k2 in range((order - 3 * k1) // 2 + 1):
+            base = 3 * k1 + 2 * k2
+            for k3 in range(order - base + 1):
+                coeffs[base + k3] += dim.weyl_dim(k1, k2 + k3)
+    assert dim.rhs_series(order).coeffs == tuple(coeffs)
+
+
+def test_branching_sum_is_the_monomial_count_through_60():
+    assert [dim.branching_sum(k) for k in range(61)] == [math.comb(k + 25, 25) for k in range(61)]

@@ -1,8 +1,10 @@
 """Tests for the exact sparse elimination helpers."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -353,3 +355,16 @@ def test_determinism():
     first = linalg.nullspace(rows, 4)
     second = linalg.nullspace([dict(r) for r in rows], 4)
     assert first == second
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, 2.0, Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize(
+    "solve",
+    [linalg.rank, linalg.echelon, lambda rows: linalg.nullspace(rows, 3)],
+    ids=["rank", "echelon", "nullspace"],
+)
+def test_inexact_entries_are_refused(solve, bad):
+    """Clearing denominators with int() would truncate a float (0.5 to 0, 1.5 to
+    1), so every entry point refuses one."""
+    with pytest.raises(TypeError):
+        solve([{0: 1, 1: 1, 2: 1}, {0: bad, 1: 3, 2: 1}])

@@ -1,6 +1,7 @@
 """Tests for exact polynomials, derivations, the dual involution, and weights."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -39,6 +40,30 @@ def test_fraction_coefficients():
     p = Fraction(1, 2) * x(3)
     assert (p + p) == x(3)
     assert p * Fraction(2, 1) == x(3)
+
+
+# Values that are not an int or a Fraction, each refused by every constructor.
+INEXACT = [0.5, 0.0, 2.0, complex(1, 0), Decimal("0.5"), "1"]
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_polynomial_refuses_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        Polynomial({poly.ZERO_EXP: 1, (1,) + (0,) * 25: bad})
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_from_pairs_refuses_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        poly.from_pairs([(2, (1, 2)), (bad, (1,))])
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_derivation_refuses_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        Derivation([(0, 1, 3), (4, 1, bad)])
+    with pytest.raises(TypeError):
+        Derivation.from_terms([(1, 2, bad)])
 
 
 def test_degree_and_homogeneous():
