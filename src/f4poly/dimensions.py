@@ -1,60 +1,51 @@
 """F4 metric data, the Weyl dimension formula, and big-integer series identities.
 
-Everything here works in the simple-root basis of F4 with the long roots
-normalized to squared length 2.  The metric data is exact rational
-arithmetic; the Weyl formula and the series are integer arithmetic, with no
-floating point anywhere.
+Everything here works in the simple-root basis of F4 in the integral
+normalization: short roots have squared length 2 and long roots 4, so the
+Gram matrix is the symmetrized Cartan matrix.  The metric, the Weyl formula
+and the series are all integer arithmetic, with no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 Root4 = Tuple[int, int, int, int]
 
-# Gram matrix of the four simple roots: two long (norm 2), two short (norm 1),
-# with the double bond between positions 2 and 3.
-GRAM4: Tuple[Tuple[Fraction, ...], ...] = tuple(
-    tuple(Fraction(v) for v in row)
-    for row in (
-        (2, -1, 0, 0),
-        (-1, 2, -1, 0),
-        (0, -1, 1, Fraction(-1, 2)),
-        (0, 0, Fraction(-1, 2), 1),
-    )
+# Gram matrix of the four simple roots: two long (norm 4), two short (norm 2),
+# with the double bond between positions 2 and 3.  Only ratios of its entries
+# reach the results (the Cartan integers 2*G_ij/G_jj and the coroot
+# coefficients), so this scale gives the same dimensions as any other.
+GRAM4: Tuple[Tuple[int, ...], ...] = (
+    (4, -2, 0, 0),
+    (-2, 4, -2, 0),
+    (0, -2, 2, -1),
+    (0, 0, -1, 2),
 )
 
 PRINTED_CONSTANT = 39_504_568_320_000
 CORRECTED_CONSTANT = 12_070_840_320_000
 
 
-def inner(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """Bilinear form in simple-root coordinates."""
-    total = Fraction(0)
-    for i in range(4):
-        if not u[i]:
-            continue
-        for j in range(4):
-            if v[j]:
-                total += Fraction(u[i]) * GRAM4[i][j] * Fraction(v[j])
-    return total
+def inner(u: Sequence[int], v: Sequence[int]) -> int:
+    """Bilinear form in simple-root coordinates; exact on any exact entries."""
+    return sum(a * g * b for a, row in zip(u, GRAM4) for g, b in zip(row, v))
 
 
-def norm(root: Sequence[Fraction]) -> Fraction:
+def norm(root: Sequence[int]) -> int:
     return inner(root, root)
 
 
 def _reflect(root: Root4, i: int) -> Root4:
     """Reflection of a root in the hyperplane of the i-th simple root."""
     simple = tuple(1 if j == i else 0 for j in range(4))
-    coeff = 2 * inner(root, simple) / GRAM4[i][i]
-    if coeff.denominator != 1:
+    coeff, remainder = divmod(2 * inner(root, simple), GRAM4[i][i])
+    if remainder:
         raise ArithmeticError("reflection produced a non-integral coordinate")
     out = list(root)
-    out[i] -= coeff.numerator
+    out[i] -= coeff
     return tuple(out)
 
 
@@ -94,10 +85,10 @@ def _coroot_forms() -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
     forms = []
     for root in positive_roots():
         length = norm(root)
-        coeffs = [a * GRAM4[i][i] / length for i, a in enumerate(root)]
-        if any(c.denominator != 1 for c in coeffs):
+        coeffs = [divmod(a * GRAM4[i][i], length) for i, a in enumerate(root)]
+        if any(remainder for _, remainder in coeffs):
             raise ArithmeticError(f"non-integral coroot at root {root}")
-        c1, c2, c3, c4 = (c.numerator for c in coeffs)
+        c1, c2, c3, c4 = (c for c, _ in coeffs)
         forms.append((c3, c4, c1 + c2 + c3 + c4))
     return tuple(forms), math.prod(c for _, _, c in forms)
 
@@ -109,8 +100,9 @@ def weyl_dim(k: int, l: int) -> int:
     numerator = math.prod(a * k + b * l + c for a, b, c in forms)
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
+        g = math.gcd(numerator, denominator)
         raise ArithmeticError(
-            f"dimension formula gave non-integer {Fraction(numerator, denominator)}"
+            f"dimension formula gave non-integer {numerator // g}/{denominator // g}"
         )
     return quotient
 

@@ -133,13 +133,21 @@ def _doubleton_presolve(
     Returns (cls, mult, forced, reduced): forced is indexed by class id, and
     reduced holds the rows left, read through the final classes.  The rows
     are read in place, neither copied nor changed; a Fraction entry is read
-    as it is, and echelon clears the denominators of the rows left.
+    as it is, and echelon clears the denominators of the rows left.  Any
+    other entry raises TypeError before the first reading, as in
+    _to_int_row: a float would be solved inexactly, or read as zero.
     """
     cls = list(range(ncols))
     mult = [1] * ncols
     members = [[c] for c in range(ncols)]
     forced = [False] * ncols
     pending = list(rows)
+    kinds = set()
+    for row in pending:
+        kinds.update(map(type, row.values()))
+    for kind in kinds:
+        if not issubclass(kind, (int, Fraction)):
+            raise TypeError(f"expected an integer or Fraction, got {kind.__name__}")
     changed = True
     while changed:
         changed = False

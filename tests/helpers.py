@@ -88,9 +88,9 @@ def reference_block_rows(monomials):
 
 
 def long_and_short_counts():
-    """Long (norm 2) and short (norm 1) positive F4 roots."""
+    """Long (norm 4) and short (norm 2) positive F4 roots."""
     norms = [dimensions.norm(r) for r in dimensions.positive_roots()]
-    return norms.count(2), norms.count(1)
+    return norms.count(4), norms.count(2)
 
 
 def printed_constant_ratio():

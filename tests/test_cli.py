@@ -147,13 +147,15 @@ def test_runs_as_module(module):
     assert (result.returncode, result.stdout, result.stderr) == (0, "26\n", "")
 
 
-# Prints, after the statement, the f4poly modules that a fresh interpreter loaded.
+# Prints, after the statement, the f4poly modules that a fresh interpreter loaded,
+# and fractions and decimal if they were loaded: only the rational layers need them.
 LOADED = """
 import contextlib, io, sys
 from f4poly import cli
 with contextlib.redirect_stdout(io.StringIO()):
     exec(sys.argv[1])
-print(" ".join(sorted(name for name in sys.modules if name.startswith("f4poly"))))
+names = (n for n in sys.modules if n.startswith("f4poly") or n in ("fractions", "decimal"))
+print(" ".join(sorted(names)))
 """
 
 
@@ -165,7 +167,10 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("f4poly"))
         ("cli.main(['branch', '--degree', '2'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
         ("cli.main(['dim', '0', '1'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
         ("cli.main(['export', 'roots'])", {"f4poly", "f4poly.cli", "f4poly.lattice"}),
-        ("cli.main(['singular', '--degree', '2'])", MODULES - {"f4poly.checks"}),
+        (
+            "cli.main(['singular', '--degree', '2'])",
+            MODULES - {"f4poly.checks"} | {"fractions", "decimal"},
+        ),
     ],
     ids=["import", "identity", "branch", "dim", "export-roots", "singular"],
 )

@@ -33,10 +33,10 @@ def fraction_weyl_dim(weight):
 
 
 def test_gram_matrix_shape():
-    assert [dim.GRAM4[i][i] for i in range(4)] == [2, 2, 1, 1]
-    assert dim.GRAM4[0][1] == -1
-    assert dim.GRAM4[1][2] == -1
-    assert dim.GRAM4[2][3] == Fraction(-1, 2)
+    assert [dim.GRAM4[i][i] for i in range(4)] == [4, 4, 2, 2]
+    assert dim.GRAM4[0][1] == -2
+    assert dim.GRAM4[1][2] == -2
+    assert dim.GRAM4[2][3] == -1
     assert dim.GRAM4[0][2] == 0 and dim.GRAM4[0][3] == 0 and dim.GRAM4[1][3] == 0
     for i in range(4):
         for j in range(4):
@@ -48,7 +48,7 @@ def test_positive_roots_count_and_norms():
     assert len(roots) == 24
     assert long_and_short_counts() == (12, 12)
     for root in roots:
-        assert dim.norm(root) in (1, 2)
+        assert dim.norm(root) in (2, 4)
 
 
 def test_positive_roots_match_folded_algebra():
@@ -61,9 +61,9 @@ def test_fundamental_weight_normalization():
         for k in range(4):
             pairing = 2 * dim.inner(weights[i], SIMPLES[k]) / dim.GRAM4[k][k]
             assert pairing == (1 if i == k else 0)
-    # metric values: 1 on the long simples, 1/2 on the short ones
+    # metric values: 2 on the long simples, 1 on the short ones
     values = [dim.inner(weights[i], SIMPLES[i]) for i in range(4)]
-    assert values == [1, 1, Fraction(1, 2), Fraction(1, 2)]
+    assert values == [2, 2, 1, 1]
     # the cross pairings some sources misstate are actually zero
     assert dim.inner(weights[0], SIMPLES[2]) == 0
     assert dim.inner(weights[1], SIMPLES[3]) == 0
@@ -108,8 +108,8 @@ def test_coroot_forms_are_the_coroot_pairings():
 
 def test_inexact_weyl_data_raises(monkeypatch):
     dim._coroot_forms.cache_clear()
-    # a bogus root of norm 3: its coroot has coefficient 2/3 on alpha_1^vee
-    assert dim.norm((1, 0, 1, 0)) == 3
+    # a bogus root of norm 6: its coroot has coefficient 2/3 on alpha_1^vee
+    assert dim.norm((1, 0, 1, 0)) == 6
     monkeypatch.setattr(dim, "positive_roots", lambda: ((1, 0, 1, 0),))
     with pytest.raises(ArithmeticError):
         dim._coroot_forms()

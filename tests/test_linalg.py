@@ -357,7 +357,7 @@ def test_determinism():
     assert first == second
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.5, 2.0, Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, 1.5, 2.0, Decimal("0.5"), 1e-400], ids=repr)
 @pytest.mark.parametrize(
     "solve",
     [linalg.rank, linalg.echelon, lambda rows: linalg.nullspace(rows, 3)],
@@ -365,6 +365,9 @@ def test_determinism():
 )
 def test_inexact_entries_are_refused(solve, bad):
     """Clearing denominators with int() would truncate a float (0.5 to 0, 1.5 to
-    1), so every entry point refuses one."""
-    with pytest.raises(TypeError):
-        solve([{0: 1, 1: 1, 2: 1}, {0: bad, 1: 3, 2: 1}])
+    1), so every entry point refuses one.  The singleton and doubleton rows are
+    solved by nullspace's presolve without reaching echelon, and 1e-400 is the
+    float 0.0, which the presolve would read as an exact zero."""
+    for rows in ([{0: 1, 1: 1, 2: 1}, {0: bad, 1: 3, 2: 1}], [{0: bad}], [{0: bad, 1: 1}]):
+        with pytest.raises(TypeError):
+            solve(rows)
