@@ -4,6 +4,7 @@ its diagram involution, and the folded rank-4 subalgebra with its
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -127,34 +128,46 @@ def antisymmetry_failures() -> int:
 
 @lru_cache(maxsize=None)
 def jacobi_failures() -> Tuple[Tuple[int, int, int], ...]:
-    """Index triples i<j<k violating the Jacobi identity.
+    """Index triples i<j<k violating the Jacobi identity, in (i, j, k) order.
 
     By bilinearity the identity holds on all of the algebra iff it holds on
     basis triples, and by antisymmetry (checked separately) it suffices to
     sweep strictly increasing triples: permuting a triple only permutes and
     negates the three summands.
+
+    Each pair i<j sums the three terms of every k>j into one accumulator,
+    keyed by k*DIM + target, walking only nonzero cells: [x_i, [x_j, x_k]]
+    from row j, -[x_j, [x_i, x_k]] from row i, and [x_k, [x_i, x_j]] from
+    the column of each index in T[i][j].  The sweep stays exhaustive: a
+    triple no walk reaches has all three terms zero.
     """
     table = structure_table()
+    # Nonzero cells by row and by column as sorted (key, ...) tuples, with
+    # key k*DIM in row entries and k*DIM + target in column entries, so that
+    # bisecting for (first,) finds the first entry with k > j.
+    rows = [[(k * DIM, mid, c) for k, cell in enumerate(row) for mid, c in cell] for row in table]
+    columns = [
+        [(k * DIM + target, w) for k, row in enumerate(table) for target, w in row[mid]]
+        for mid in range(DIM)
+    ]
     failures: List[Tuple[int, int, int]] = []
     for i in range(DIM):
-        row_i = table[i]
+        row_i, cells_i = table[i], rows[i]
         for j in range(i + 1, DIM):
-            row_j = table[j]
-            bracket_ij = row_i[j]
-            for k in range(j + 1, DIM):
-                acc: Dict[int, int] = {}
-                for mid, c in row_j[k]:
-                    for target, w in row_i[mid]:
-                        acc[target] = acc.get(target, 0) + c * w
-                # [x_j, [x_k, x_i]] = -[x_j, [x_i, x_k]]
-                for mid, c in row_i[k]:
-                    for target, w in row_j[mid]:
-                        acc[target] = acc.get(target, 0) - c * w
-                row_k = table[k]
-                for mid, c in bracket_ij:
-                    for target, w in row_k[mid]:
-                        acc[target] = acc.get(target, 0) + c * w
-                if any(acc.values()):
+            row_j, cells_j, first = table[j], rows[j], ((j + 1) * DIM,)
+            acc: Dict[int, int] = {}
+            for base, mid, c in cells_j[bisect_left(cells_j, first):]:
+                for target, w in row_i[mid]:
+                    acc[base + target] = acc.get(base + target, 0) + c * w
+            for base, mid, c in cells_i[bisect_left(cells_i, first):]:
+                for target, w in row_j[mid]:
+                    acc[base + target] = acc.get(base + target, 0) - c * w
+            for mid, c in row_i[j]:
+                column = columns[mid]
+                for key, w in column[bisect_left(column, first):]:
+                    acc[key] = acc.get(key, 0) + c * w
+            if any(acc.values()):
+                for k in sorted({key // DIM for key, value in acc.items() if value}):
                     failures.append((i, j, k))
                     if len(failures) >= _JACOBI_FAILURE_LIMIT:
                         return tuple(failures)

@@ -12,7 +12,6 @@ degree-one branch vertex labeled 2:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, Tuple
 
 Vector = Tuple[int, int, int, int, int, int]
@@ -58,20 +57,15 @@ def neg(v: Vector) -> Vector:
     return (-v[0], -v[1], -v[2], -v[3], -v[4], -v[5])
 
 
-def _bilinear(form: tuple[Vector, ...], u: Vector, v: Vector) -> int:
-    """u^T form v."""
+def inner(u: Vector, v: Vector) -> int:
+    """Bilinear form u^T GRAM v."""
     total = 0
     for i, ui in enumerate(u):
         if ui:
-            row = form[i]
+            row = GRAM[i]
             total += ui * (row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
                            + row[3] * v[3] + row[4] * v[4] + row[5] * v[5])
     return total
-
-
-def inner(u: Vector, v: Vector) -> int:
-    """Bilinear form u^T GRAM v."""
-    return _bilinear(GRAM, u, v)
 
 
 @lru_cache(maxsize=None)
@@ -80,9 +74,27 @@ def all_roots() -> tuple[Vector, ...]:
 
     Exhaustive scan of the integer box spanned by +-HIGHEST_ROOT, filtered by
     norm 2.  roots_by_reflection_closure() recomputes the set independently.
+    The scan fixes coordinates in order, each from its lowest value up, so it
+    visits every box point in lexicographic order; it carries the partial
+    norm v^T GRAM v of the coordinates fixed so far, which a new coordinate x
+    at position m raises by x * (GRAM[m][m] * x + 2 * sum_l GRAM[m][l] * v_l).
     """
-    box = [range(-b, b + 1) for b in HIGHEST_ROOT]
-    return tuple(sorted(v for v in product(*box) if inner(v, v) == 2))
+    roots: list[Vector] = []
+
+    def scan(prefix: tuple[int, ...], norm: int) -> None:
+        m = len(prefix)
+        row = GRAM[m]
+        cross = 2 * sum(g * c for g, c in zip(row, prefix))
+        square = row[m]
+        values = range(-HIGHEST_ROOT[m], HIGHEST_ROOT[m] + 1)
+        if m == 5:
+            roots.extend(prefix + (x,) for x in values if norm + x * (square * x + cross) == 2)
+        else:
+            for x in values:
+                scan(prefix + (x,), norm + x * (square * x + cross))
+
+    scan((), 0)
+    return tuple(roots)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +141,25 @@ def diagram_involution(v: Vector) -> Vector:
     return (v[5], v[1], v[4], v[3], v[2], v[0])
 
 
+# Row i of COCYCLE_FORM as a bit mask: bit j is set when entry j is odd.
+_FORM_ROW_MASKS = tuple(sum((b & 1) << j for j, b in enumerate(row)) for row in COCYCLE_FORM)
+
+
+@lru_cache(maxsize=1024)
+def _parity_masks(v: Vector) -> tuple[int, int]:
+    """Bit masks of v^T COCYCLE_FORM mod 2 and of v mod 2: bit j is set when
+    entry j is odd.  The first is the sum mod 2, an exclusive or, of the rows
+    of the form at the odd entries of v."""
+    row = column = 0
+    for i, c in enumerate(v):
+        if c & 1:
+            row ^= _FORM_ROW_MASKS[i]
+            column |= 1 << i
+    return row, column
+
+
 def cocycle(u: Vector, v: Vector) -> int:
     """Sign cocycle fixing the Lie structure constants: +1 or -1, by the
-    parity of u^T COCYCLE_FORM v."""
-    return -1 if _bilinear(COCYCLE_FORM, u, v) & 1 else 1
+    parity of u^T COCYCLE_FORM v, which is the parity of the entries odd in
+    both u^T COCYCLE_FORM and v."""
+    return -1 if (_parity_masks(u)[0] & _parity_masks(v)[1]).bit_count() & 1 else 1

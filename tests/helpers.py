@@ -2,14 +2,16 @@
 ``Derivation.apply`` and ``representation.apply_laplacian`` are checked, the
 row assembly by ``Derivation.apply`` that ``representation.singular_vectors``
 is checked against, the plain monomial enumeration that
-``poly.monomials_of_degree`` is checked against, the dense operator matrix
+``poly.monomials_of_degree`` is checked against, the plain box scan and the
+triple-by-triple Jacobi sweep that ``lattice.all_roots`` and
+``algebra.jacobi_failures`` are checked against, the dense operator matrix
 that products of operators are checked with, small functions only the tests
 use, and pools of small exact values for hypothesis to sample."""
 
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from f4poly import algebra, dimensions, lattice, linalg, representation
 from f4poly.poly import NVARS, Polynomial
@@ -34,6 +36,43 @@ def plain_monomials(d):
         for j in combo:
             exp[j] += 1
         yield tuple(exp)
+
+
+def plain_roots():
+    """The roots by the plain scan of the box spanned by +-HIGHEST_ROOT, one
+    ``inner`` call per point, sorted."""
+    box = [range(-b, b + 1) for b in lattice.HIGHEST_ROOT]
+    return tuple(sorted(v for v in product(*box) if lattice.inner(v, v) == 2))
+
+
+def reference_jacobi_failures(table, limit):
+    """The first ``limit`` index triples i<j<k, in (i, j, k) order, whose
+    three Jacobi terms, read from the structure table cell by cell, do not
+    sum to zero."""
+    failures = []
+    for i in range(algebra.DIM):
+        row_i = table[i]
+        for j in range(i + 1, algebra.DIM):
+            row_j = table[j]
+            bracket_ij = row_i[j]
+            for k in range(j + 1, algebra.DIM):
+                acc = {}
+                for mid, c in row_j[k]:
+                    for target, w in row_i[mid]:
+                        acc[target] = acc.get(target, 0) + c * w
+                # [x_j, [x_k, x_i]] = -[x_j, [x_i, x_k]]
+                for mid, c in row_i[k]:
+                    for target, w in row_j[mid]:
+                        acc[target] = acc.get(target, 0) - c * w
+                row_k = table[k]
+                for mid, c in bracket_ij:
+                    for target, w in row_k[mid]:
+                        acc[target] = acc.get(target, 0) + c * w
+                if any(acc.values()):
+                    failures.append((i, j, k))
+                    if len(failures) >= limit:
+                        return tuple(failures)
+    return tuple(failures)
 
 
 def exact_values(int_bound, fraction_bound, max_denominator):

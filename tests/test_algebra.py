@@ -16,6 +16,7 @@ from helpers import (
     moved_positive_orbits,
     operator_cells,
     rank_of_vectors,
+    reference_jacobi_failures,
     relabel,
     root_vector,
 )
@@ -151,6 +152,14 @@ def _first_moved_cell(kind):
     raise AssertionError(f"no {kind} cell")
 
 
+# The first triple (i, j, k) the Jacobi sweep reports for each planted cell.
+FIRST_JACOBI_FAILURE = {
+    "coroot-root": (0, 6, 56),
+    "root-root": (1, 6, 54),
+    "opposite-roots": (2, 9, 74),
+}
+
+
 @pytest.mark.parametrize("kind", ["coroot-root", "root-root", "opposite-roots"])
 def test_sweeps_report_a_negated_cell(monkeypatch, kind):
     i, j = _first_moved_cell(kind)
@@ -163,7 +172,19 @@ def test_sweeps_report_a_negated_cell(monkeypatch, kind):
     failures = algebra.involution_is_automorphism_failures()
     assert set(failures) == {(labs[i], labs[j]), (labs[perm[i]], labs[perm[j]])}
     assert algebra.antisymmetry_failures() >= 1
-    assert algebra.jacobi_failures.__wrapped__() != ()
+    first = algebra.jacobi_failures.__wrapped__()
+    assert first == (FIRST_JACOBI_FAILURE[kind],)
+    assert first == reference_jacobi_failures(planted, algebra._JACOBI_FAILURE_LIMIT)
+    # Without a limit both sweeps list every failing triple, in the same order.
+    monkeypatch.setattr(algebra, "_JACOBI_FAILURE_LIMIT", algebra.DIM**3)
+    every = algebra.jacobi_failures.__wrapped__()
+    assert len(every) > 1
+    assert every == reference_jacobi_failures(planted, algebra.DIM**3)
+
+
+def test_jacobi_sweep_matches_the_triple_reference():
+    table = algebra.structure_table()
+    assert algebra.jacobi_failures.__wrapped__() == reference_jacobi_failures(table, 1) == ()
 
 
 def test_positive_root_split():

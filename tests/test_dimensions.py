@@ -59,7 +59,7 @@ def test_fundamental_weight_normalization():
     weights = FUNDAMENTAL_WEIGHTS
     for i in range(4):
         for k in range(4):
-            pairing = 2 * dim.inner(weights[i], SIMPLES[k]) / dim.GRAM4[k][k]
+            pairing = Fraction(2 * dim.inner(weights[i], SIMPLES[k]), dim.GRAM4[k][k])
             assert pairing == (1 if i == k else 0)
     # metric values: 2 on the long simples, 1 on the short ones
     values = [dim.inner(weights[i], SIMPLES[i]) for i in range(4)]
@@ -102,7 +102,7 @@ def test_coroot_forms_are_the_coroot_pairings():
     assert all(c >= 1 for _, _, c in forms)
     vectors = (FUNDAMENTAL_WEIGHTS[2], FUNDAMENTAL_WEIGHTS[3], RHO)
     for root, form in zip(dim.positive_roots(), forms):
-        assert form == tuple(2 * dim.inner(v, root) / dim.norm(root) for v in vectors)
+        assert form == tuple(Fraction(2 * dim.inner(v, root), dim.norm(root)) for v in vectors)
     assert denominator == math.prod(c for _, _, c in forms)
 
 

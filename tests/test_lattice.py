@@ -1,6 +1,12 @@
 """Tests for the rank-6 root lattice, diagram involution, and sign cocycle."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from f4poly import lattice
+from helpers import plain_roots
+
+VECTORS = st.tuples(*[st.integers(-5, 5)] * 6)
 
 
 def test_gram_matrix_shape():
@@ -36,6 +42,10 @@ def test_root_count_and_norms():
 
 def test_reflection_closure_matches_enumeration():
     assert lattice.roots_by_reflection_closure() == lattice.all_roots()
+
+
+def test_box_scan_matches_the_plain_scan():
+    assert lattice.all_roots.__wrapped__() == plain_roots() == lattice.roots_by_reflection_closure()
 
 
 def test_highest_root():
@@ -84,3 +94,10 @@ def test_cocycle_is_bimultiplicative():
                 assert left == lattice.cocycle(u, w) * lattice.cocycle(v, w)
                 right = lattice.cocycle(u, lattice.add(v, w))
                 assert right == lattice.cocycle(u, v) * lattice.cocycle(u, w)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(VECTORS, VECTORS)
+def test_cocycle_is_the_parity_of_the_form(u, v):
+    form = sum(u[i] * lattice.COCYCLE_FORM[i][j] * v[j] for i in range(6) for j in range(6))
+    assert lattice.cocycle(u, v) == (-1) ** (form % 2)
