@@ -59,24 +59,43 @@ def _as_coeff(value: Coeff) -> Coeff:
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
-class Polynomial:
-    """Sparse polynomial mapping 26-entry exponent tuples to exact coefficients."""
+def _as_exponent(exp: Exponent) -> Exponent:
+    if type(exp) is not tuple or any(type(k) is not int for k in exp):
+        raise TypeError(f"exponent must be a tuple of ints, got {exp!r}")
+    if len(exp) != NVARS or min(exp) < 0:
+        raise ValueError(f"exponent must be {NVARS} nonnegative ints, got {exp!r}")
+    return exp
 
-    __slots__ = ("terms",)
+
+class Polynomial:
+    """Sparse polynomial mapping 26-entry exponent tuples to exact coefficients.
+
+    Read-only: ``terms`` is a view of the private dict ``_terms``, which no
+    operation changes once the polynomial is built, so a shared polynomial (a
+    cached one, or ``zero() + p``, which is ``p``) cannot be changed."""
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Exponent, Coeff] | None = None) -> None:
         clean: Dict[Exponent, Coeff] = {}
         if terms:
             for exp, coeff in terms.items():
+                exp = _as_exponent(exp)
                 if _as_coeff(coeff):
                     clean[exp] = coeff
-        self.terms = clean
+        self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: Mapping[Exponent, Coeff]) -> "Polynomial":
+    def _raw(cls, terms: Dict[Exponent, Coeff]) -> "Polynomial":
+        """Wrap a dict of checked, nonzero terms that no one else holds."""
         out = cls.__new__(cls)
-        out.terms = terms
+        out._terms = terms
         return out
+
+    @property
+    def terms(self) -> Mapping[Exponent, Coeff]:
+        """Read-only view of the exponent -> coefficient terms."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -84,7 +103,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Coeff) -> "Polynomial":
-        return cls({ZERO_EXP: _as_coeff(value)})
+        value = _as_coeff(value)
+        return cls._raw({ZERO_EXP: value}) if value else cls.zero()
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
@@ -95,42 +115,40 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, exp: Sequence[int], coeff: Coeff = 1) -> "Polynomial":
-        exp = tuple(exp)
-        if len(exp) != NVARS or any(k < 0 for k in exp):
-            raise ValueError("exponent must be 26 nonnegative integers")
+        exp = _as_exponent(tuple(exp))
         coeff = _as_coeff(coeff)
         return cls._raw({exp: coeff}) if coeff else cls.zero()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self) -> int:
         """Total degree, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self._terms), default=-1)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self.terms == other.terms
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             if not other:
-                return not self.terms
-            return self.terms == {ZERO_EXP: other}
+                return not self._terms
+            return self._terms == {ZERO_EXP: other}
         return NotImplemented
 
     def __add__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other) if other else Polynomial.zero()
+            other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.terms:
+        if not self._terms:
             return other
-        if not other.terms:
+        if not other._terms:
             return self
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
+        out = dict(self._terms)
+        for exp, coeff in other._terms.items():
             new = out.get(exp, 0) + coeff
             if new:
                 out[exp] = new
@@ -141,7 +159,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({e: -c for e, c in self.terms.items()})
+        return Polynomial._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -157,12 +175,12 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero()
-            return Polynomial._raw({e: c * other for e, c in self.terms.items()})
+            return Polynomial._raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         out: Dict[Exponent, Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 new = out.get(exp, 0) + c1 * c2
                 if new:
@@ -183,10 +201,10 @@ class Polynomial:
 
     def sorted_terms(self) -> List[Tuple[Exponent, Coeff]]:
         """Terms ordered by total degree then lexicographically, both descending."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         chunks: List[str] = []
         for exp, coeff in self.sorted_terms():
@@ -223,6 +241,8 @@ def from_pairs(pairs: Iterable[Tuple[Coeff, Sequence[int]]]) -> Polynomial:
     for coeff, indices in pairs:
         exp = [0] * NVARS
         for idx in indices:
+            if not 1 <= idx <= NVARS:
+                raise ValueError(f"variable index must be in 1..{NVARS}, got {idx}")
             exp[idx - 1] += 1
         key = tuple(exp)
         new = acc.get(key, 0) + _as_coeff(coeff)
@@ -236,7 +256,7 @@ def from_pairs(pairs: Iterable[Tuple[Coeff, Sequence[int]]]) -> Polynomial:
 def dual(poly: Polynomial) -> Polynomial:
     """Degree-preserving involution pairing xr with x(27-r) and negating x13, x14."""
     out: Dict[Exponent, Coeff] = {}
-    for exp, coeff in poly.terms.items():
+    for exp, coeff in poly._terms.items():
         new = [0] * NVARS
         for j, k in enumerate(exp):
             if k:
@@ -289,7 +309,7 @@ class Derivation:
     def apply(self, poly: Polynomial) -> Polynomial:
         """Act on each monomial: x^e -> sum of c * e[j] * x^(e - e_j + e_i)."""
         out: Dict[Exponent, Coeff] = {}
-        for exp, coeff in poly.terms.items():
+        for exp, coeff in poly._terms.items():
             for j, entries in self.columns:
                 k = exp[j]
                 if not k:
@@ -362,10 +382,10 @@ def exponent_weight(exp: Sequence[int]) -> Weight:
 
 def weight(poly: Polynomial) -> Weight:
     """Common weight of all monomials; raises WeightError if they disagree."""
-    if not poly.terms:
+    if not poly._terms:
         raise ValueError("the zero polynomial has no well-defined weight")
     result: Weight | None = None
-    for exp in poly.terms:
+    for exp in poly._terms:
         w = exponent_weight(exp)
         if result is None:
             result = w

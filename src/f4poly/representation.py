@@ -7,8 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import algebra, linalg, poly
 from .algebra import F4Root
@@ -222,11 +221,11 @@ def root_operators() -> List[Derivation]:
 
 @lru_cache(maxsize=None)
 def eta1() -> Polynomial:
-    """The quadratic invariant; cached, so read-only."""
+    """The quadratic invariant; cached and shared."""
     total = Polynomial.zero()
     for r in range(1, 13):
         total = total + 3 * X(r) * X(27 - r)
-    return _SharedPolynomial((total - X(13) ** 2 - X(13) * X(14) - X(14) ** 2).terms)
+    return total - X(13) ** 2 - X(13) * X(14) - X(14) ** 2
 
 
 # Printed quadratic expansions, as (coefficient, variable-index pair) terms.
@@ -278,27 +277,11 @@ def zeta_printed(r: int) -> Polynomial:
     return poly.from_pairs(_PRINTED_ZETA[r])
 
 
-class _SharedPolynomial(Polynomial):
-    """A polynomial that a cache hands to every caller: its terms are a
-    read-only mapping, and the attribute cannot be rebound or deleted."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: Mapping[poly.Exponent, Coeff]) -> None:
-        object.__setattr__(self, "terms", MappingProxyType(terms))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("a cached polynomial is read-only")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("a cached polynomial is read-only")
-
-
 @lru_cache(maxsize=None)
 def zeta(r: int) -> Polynomial:
     """The r-th member (1..26) of the quadratic copy of the module basis.
 
-    The polynomial is cached and shared, so it is read-only.
+    The polynomial is cached and shared.
     """
     if not 1 <= r <= 26:
         raise ValueError(f"index must be in 1..26, got {r}")
@@ -314,12 +297,12 @@ def zeta(r: int) -> Polynomial:
         # breaks the copy at indices 13..16 and destroys invariance of the
         # cubic form).
         f = -poly.dual(zeta(27 - r))
-    return _SharedPolynomial(f.terms)
+    return f
 
 
 @lru_cache(maxsize=None)
 def theta() -> Polynomial:
-    """The cubic singular vector (x1*zeta(2) - x2*zeta(1)) / 3; cached, so read-only."""
+    """The cubic singular vector (x1*zeta(2) - x2*zeta(1)) / 3; cached and shared."""
     combined = X(1) * zeta(2) - X(2) * zeta(1)
     out = {}
     for exp, coeff in combined.terms.items():
@@ -327,7 +310,7 @@ def theta() -> Polynomial:
         if frac.denominator != 1:
             raise ArithmeticError("cubic singular vector is not integral")
         out[exp] = frac.numerator
-    return _SharedPolynomial(out)
+    return Polynomial._raw(out)
 
 
 def theta_printed() -> Polynomial:
@@ -342,12 +325,12 @@ def theta_printed() -> Polynomial:
 
 @lru_cache(maxsize=None)
 def eta2() -> Polynomial:
-    """The cubic invariant from the invariant pairing; cached, so read-only."""
+    """The cubic invariant from the invariant pairing; cached and shared."""
     total = Polynomial.zero()
     for r in range(1, 13):
         total = total + 3 * (zeta(r) * X(27 - r) + X(r) * zeta(27 - r))
     total = total - 2 * X(13) * zeta(13) - X(13) * zeta(14) - X(14) * zeta(13) - 2 * X(14) * zeta(14)
-    return _SharedPolynomial(total.terms)
+    return total
 
 
 def _one_plus_dual(f: Polynomial) -> Polynomial:
@@ -782,7 +765,7 @@ def apply_laplacian(f: Polynomial) -> Polynomial:
     maps it to c*e[a]*e[b]*x^(e - e_a - e_b), a square term c*d_a^2 to
     c*e[a]*(e[a]-1)*x^(e - 2*e_a); terms that cancel are dropped."""
     out: Dict[poly.Exponent, Coeff] = {}
-    for exp, coeff in f.terms.items():
+    for exp, coeff in f._terms.items():
         for a, b, c in _LAPLACIAN_CELLS:
             ka = exp[a]
             kb = exp[b] - (a == b)
@@ -839,17 +822,17 @@ def laplacian_commutes_on_degree(degree: int) -> bool:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    monomials = [Polynomial.monomial(e) for e in poly.monomials_of_degree(degree)]
-    laps = ((e, apply_laplacian(m)) for m in monomials for e in m.terms)
+    monomials = [Polynomial._raw({e: 1}) for e in poly.monomials_of_degree(degree)]
+    laps = ((e, apply_laplacian(m)) for m in monomials for e in m._terms)
     lap_of = {e: lap for e, lap in laps if lap}
     zero = Polynomial.zero()
     for label in operator_labels():
         op = operator(label)
         for mono in monomials:
-            (exp,) = mono.terms
-            diff = dict(op(lap_of.get(exp, zero)).terms)
-            for term, c in op(mono).terms.items():
-                for key, d in lap_of.get(term, zero).terms.items():
+            (exp,) = mono._terms
+            diff = dict(op(lap_of.get(exp, zero))._terms)
+            for term, c in op(mono)._terms.items():
+                for key, d in lap_of.get(term, zero)._terms.items():
                     diff[key] = diff.get(key, 0) - c * d
             if any(diff.values()):
                 return False

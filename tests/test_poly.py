@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4poly import poly
+from f4poly import poly, representation as rep
 from f4poly.poly import Derivation, Polynomial
 from helpers import (
     dense_matrix,
@@ -50,6 +50,39 @@ INEXACT = [0.5, 0.0, 2.0, complex(1, 0), Decimal("0.5"), "1"]
 def test_polynomial_refuses_inexact_coefficients(bad):
     with pytest.raises(TypeError):
         Polynomial({poly.ZERO_EXP: 1, (1,) + (0,) * 25: bad})
+
+
+# Exponent keys that are not 26 nonnegative ints, and the error each raises.
+MALFORMED_EXPONENTS = [
+    ((1,), ValueError),
+    ((0,) * 27, ValueError),
+    ((-1,) + (0,) * 25, ValueError),
+    ((0.5,) + (0,) * 25, TypeError),
+    ((1.0,) + (0,) * 25, TypeError),
+    ((True,) + (0,) * 25, TypeError),
+]
+
+
+@pytest.mark.parametrize(
+    "exp, error",
+    MALFORMED_EXPONENTS,
+    ids=["1 entry", "27 entries", "negative", "0.5", "1.0", "True"],
+)
+def test_polynomial_refuses_malformed_exponents(exp, error):
+    with pytest.raises(error):
+        Polynomial({poly.ZERO_EXP: 1, exp: 1})
+    with pytest.raises(error):
+        Polynomial({exp: 0})
+    with pytest.raises(error):
+        Polynomial.monomial(exp)
+    with pytest.raises(error):
+        Polynomial.monomial(list(exp), 2)
+
+
+@pytest.mark.parametrize("index", [0, -1, 27])
+def test_from_pairs_refuses_a_variable_outside_1_to_26(index):
+    with pytest.raises(ValueError):
+        poly.from_pairs([(2, (1, 2)), (1, (3, index))])
 
 
 @pytest.mark.parametrize("bad", INEXACT, ids=repr)
@@ -107,6 +140,47 @@ polynomials = st.lists(st.tuples(coeffs, monomials), max_size=4).map(
 derivations = st.lists(st.tuples(variables, variables, st.integers(-3, 3)), max_size=6).map(
     Derivation.from_terms
 )
+
+
+def assert_read_only(p):
+    exp = next(iter(p.terms), poly.ZERO_EXP)
+    with pytest.raises(TypeError):
+        p.terms[exp] = 1
+    with pytest.raises(TypeError):
+        del p.terms[exp]
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    with pytest.raises(AttributeError):
+        del p.terms
+
+
+@PROPERTY_SETTINGS
+@given(polynomials, polynomials, derivations, st.integers(0, 2))
+def test_every_polynomial_is_read_only(f, g, op, k):
+    before = (dict(f.terms), dict(g.terms))
+    assert Polynomial.zero() + f is f
+    builds = [
+        lambda: Polynomial(f.terms),
+        Polynomial.zero,
+        lambda: Polynomial.constant(3),
+        lambda: Polynomial.variable(5),
+        lambda: Polynomial.monomial(next(iter(g.terms), poly.ZERO_EXP), 2),
+        lambda: poly.from_pairs([(2, (1, 13)), (-1, (26,))]),
+        lambda: f + g,
+        lambda: f - g,
+        lambda: f * g,
+        lambda: 2 * f,
+        lambda: 1 - f,
+        lambda: f**k,
+        lambda: -f,
+        lambda: poly.dual(f),
+        lambda: op(f),
+        lambda: rep.apply_laplacian(f),
+        lambda: Polynomial.zero() + f,
+    ]
+    for build in builds:
+        assert_read_only(build())
+        assert (dict(f.terms), dict(g.terms)) == before
 
 
 @PROPERTY_SETTINGS
