@@ -5,21 +5,19 @@ its diagram involution, and the folded rank-4 subalgebra with its
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import lattice, linalg
 from .lattice import Vector
 
-Coeff = Union[int, Fraction]
 # ('h', i) with i in 1..6 is the i-th simple coroot; ('e', v) is the root vector at v.
 Label = Tuple[str, object]
 # An element of the algebra, and so also a bracket of two basis elements:
 # (index, coefficient) pairs, indices strictly increasing and coefficients
 # nonzero; () is zero.
-Cell = Tuple[Tuple[int, Coeff], ...]
+Cell = Tuple[Tuple[int, int], ...]
 F4Root = Tuple[int, int, int, int]
 
 DIM = 78
@@ -66,7 +64,7 @@ def structure_table() -> Tuple[Tuple[Cell, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def _cell(acc: Mapping[int, Coeff]) -> Cell:
+def _cell(acc: Mapping[int, int]) -> Cell:
     """The cell of a map from basis index to coefficient, zeros dropped."""
     return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
 
@@ -74,7 +72,7 @@ def _cell(acc: Mapping[int, Coeff]) -> Cell:
 def bracket(left: Cell, right: Cell) -> Cell:
     """Lie bracket of two elements: the sum of c_i d_j T[i][j] over their pairs."""
     table = structure_table()
-    acc: Dict[int, Coeff] = {}
+    acc: Dict[int, int] = {}
     for i, c in left:
         row = table[i]
         for j, d in right:
@@ -285,7 +283,7 @@ def _module_leads() -> Mapping[int, Tuple[int, int]]:
     return MappingProxyType({v_basis(i)[0][0]: (i, v_basis(i)[0][1]) for i in range(1, 27)})
 
 
-def decompose_v(element: Cell) -> Tuple[Tuple[int, Coeff], ...]:
+def decompose_v(element: Cell) -> Tuple[Tuple[int, int], ...]:
     """Coordinates in the module basis as (index 1..26, coefficient) pairs,
     indices increasing and coefficients nonzero.
 
@@ -295,7 +293,7 @@ def decompose_v(element: Cell) -> Tuple[Tuple[int, Coeff], ...]:
     """
     leads = _module_leads()
     coords = sorted((leads[k][0], c * leads[k][1]) for k, c in element if k in leads)
-    acc: Dict[int, Coeff] = {}
+    acc: Dict[int, int] = {}
     for i, x in coords:
         for k, c in v_basis(i):
             acc[k] = acc.get(k, 0) + x * c
@@ -304,7 +302,7 @@ def decompose_v(element: Cell) -> Tuple[Tuple[int, Coeff], ...]:
     return tuple(coords)
 
 
-def ad_on_v(element: Cell) -> Tuple[Tuple[int, int, Coeff], ...]:
+def ad_on_v(element: Cell) -> Tuple[Tuple[int, int, int], ...]:
     """Adjoint action on the module basis as the nonzero cells (i, j, c) of
     its 26x26 matrix, 0-based: [element, x_(j+1)] has coefficient c on
     x_(i+1).  Cells run column by column, rows increasing in each.

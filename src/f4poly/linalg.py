@@ -1,9 +1,9 @@
-"""Exact sparse linear algebra over the rationals: echelon form, rank, nullspace.
+"""Exact sparse linear algebra over the integers: echelon form, rank, nullspace.
 
-Rows are dicts column -> coefficient (int or Fraction, zeros absent).  The
-elimination is a fraction-free left-to-right column scan: rows are rescaled
-to primitive integer vectors after every combination, so all intermediate
-entries stay integral.
+Rows are dicts column -> int coefficient (zeros absent); any other entry
+raises TypeError.  The elimination is a fraction-free left-to-right column
+scan: rows are rescaled to primitive integer vectors after every
+combination, so all intermediate entries stay integral.
 
 ``nullspace`` first runs the singleton-row and doubleton-equation steps of LP
 presolve (Andersen and Andersen, "Presolving in linear programming", 1995),
@@ -14,7 +14,12 @@ Both steps can cascade, and each is a bijective change of parameters, so the
 kernel is exactly that of the rows left over the live classes, expanded
 through the multipliers.  Those rows are eliminated once, with the live
 classes ordered by their last column, and solved by back-substitution, one
-vector per free class set to 1 with the other free classes at 0.
+vector per free class set to 1 with the other free classes at 0.  The
+back-substitution is fraction-free, as in Bareiss ("Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968):
+where a pivot a meets a partial sum s, the whole vector is scaled by a / g,
+with g = gcd(s, a) carrying the sign of a, so the pivot's entry -s / g is an
+integer, and the vector is rescaled only when a does not divide s.
 
 That basis is already canonical: the vectors have distinct last nonzero
 columns, each is zero at the others' last nonzero columns, and each is
@@ -30,29 +35,23 @@ plain left-to-right elimination over all columns gives.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
 Row = Dict[int, int]
 
 
 def _to_int_row(row: Dict[int, object]) -> Row:
-    """Clear denominators and divide by the content; drop zeros.  Entries must
-    be exact: anything but an int or a Fraction raises TypeError."""
-    den = 1
-    for c in row.values():
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-        elif not isinstance(c, int):
-            raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
+    """Divide by the content and drop zeros.  Entries must be ints: anything
+    else raises TypeError."""
     out: Row = {}
     g = 0
     for col, c in row.items():
-        v = int(c * den)
-        if v:
-            out[col] = v
-            g = gcd(g, v)
+        if not isinstance(c, int):
+            raise TypeError(f"expected an integer, got {type(c).__name__}")
+        if c:
+            out[col] = c
+            g = gcd(g, c)
     if g > 1:
         for col in out:
             out[col] //= g
@@ -122,9 +121,10 @@ def _doubleton_presolve(
     - a row that reads nothing allows every t, so it is dropped;
     - a row that reads a * t_k allows exactly t_k = 0: the class is forced,
       and its parameter dropped;
-    - a row that reads a * t_p + b * t_q allows exactly t_p = d * s, t_q =
-      -n * s for a new parameter s, where n/d = a/b in lowest terms: the
-      classes merge, the smaller one relabelled to the larger's id.
+    - a row that reads a * t_p + b * t_q allows exactly t_p = (b / g) * s,
+      t_q = -(a / g) * s for a new parameter s, where g is gcd(a, b) with the
+      sign of b, so that the class p is rescaled only when b does not divide
+      a: the classes merge, the smaller one relabelled to the larger's id.
     Each is a bijective change of parameters on the vectors the row allows,
     so the kernel is exactly the kernel of the rows left, expanded through
     the classes.  The reading repeats over the rows left until none reads two
@@ -132,10 +132,9 @@ def _doubleton_presolve(
 
     Returns (cls, mult, forced, reduced): forced is indexed by class id, and
     reduced holds the rows left, read through the final classes.  The rows
-    are read in place, neither copied nor changed; a Fraction entry is read
-    as it is, and echelon clears the denominators of the rows left.  Any
-    other entry raises TypeError before the first reading, as in
-    _to_int_row: a float would be solved inexactly, or read as zero.
+    are read in place, neither copied nor changed.  An entry that is not an
+    int raises TypeError before the first reading, as in _to_int_row: a
+    float would be solved inexactly, or read as zero.
     """
     cls = list(range(ncols))
     mult = [1] * ncols
@@ -146,8 +145,8 @@ def _doubleton_presolve(
     for row in pending:
         kinds.update(map(type, row.values()))
     for kind in kinds:
-        if not issubclass(kind, (int, Fraction)):
-            raise TypeError(f"expected an integer or Fraction, got {kind.__name__}")
+        if not issubclass(kind, int):
+            raise TypeError(f"expected an integer, got {kind.__name__}")
     changed = True
     while changed:
         changed = False
@@ -171,8 +170,8 @@ def _doubleton_presolve(
                 (p, a), (q, b) = read.items()
                 if len(members[p]) < len(members[q]):
                     p, a, q, b = q, b, p, a
-                ratio = Fraction(a, b)
-                fp, fq = ratio.denominator, -ratio.numerator
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                fp, fq = b // g, -a // g
                 if fp != 1:
                     for c in members[p]:
                         mult[c] *= fp
@@ -213,19 +212,24 @@ def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, 
     for free in range(len(order)):
         if free in pivot_set:
             continue
-        t: Dict[int, Fraction] = {free: Fraction(1)}
+        t: Row = {free: 1}
         for col, row in reversed(pivots):
             if col > free:
                 continue
-            s = Fraction(0)
+            s = 0
             for c, v in row.items():
                 if c in t:
                     s += v * t[c]
             if s:
-                t[col] = -s / row[col]
-        den = lcm(*(v.denominator for v in t.values()))
-        scaled = {order[i]: int(v * den) for i, v in t.items()}
-        vec = [mult[c] * scaled[k] if k in scaled else 0 for c, k in enumerate(cls)]
+                a = row[col]
+                g = gcd(s, a) if a > 0 else -gcd(s, a)
+                if a != g:
+                    m = a // g
+                    for k in t:
+                        t[k] *= m
+                t[col] = -s // g
+        by_class = {order[i]: v for i, v in t.items()}
+        vec = [mult[c] * by_class.get(k, 0) for c, k in enumerate(cls)]
         g = gcd(*vec)
         if next(v for v in vec if v) < 0:
             g = -g

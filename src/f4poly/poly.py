@@ -3,15 +3,13 @@ dual involution, and weight grading used by the folded-algebra realization."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, combinations_with_replacement, compress, tee
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 NVARS = 26
 
 Exponent = Tuple[int, ...]
-Coeff = Union[int, Fraction]
 Weight = Tuple[int, int, int, int]
 
 ZERO_EXP: Exponent = (0,) * NVARS
@@ -53,10 +51,10 @@ _DUAL_POS: Tuple[int, ...] = tuple(j if j in (12, 13) else 25 - j for j in range
 _DUAL_SIGN: Tuple[int, ...] = tuple(-1 if j in (12, 13) else 1 for j in range(NVARS))
 
 
-def _as_coeff(value: Coeff) -> Coeff:
-    if isinstance(value, (int, Fraction)):
+def _as_coeff(value: int) -> int:
+    if type(value) is int:
         return value
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+    raise TypeError(f"expected an integer, got {type(value).__name__}")
 
 
 def _as_exponent(exp: Exponent) -> Exponent:
@@ -68,7 +66,7 @@ def _as_exponent(exp: Exponent) -> Exponent:
 
 
 class Polynomial:
-    """Sparse polynomial mapping 26-entry exponent tuples to exact coefficients.
+    """Sparse polynomial mapping 26-entry exponent tuples to integer coefficients.
 
     Read-only: ``terms`` is a view of the private dict ``_terms``, which no
     operation changes once the polynomial is built, so a shared polynomial (a
@@ -76,8 +74,8 @@ class Polynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Coeff] | None = None) -> None:
-        clean: Dict[Exponent, Coeff] = {}
+    def __init__(self, terms: Mapping[Exponent, int] | None = None) -> None:
+        clean: Dict[Exponent, int] = {}
         if terms:
             for exp, coeff in terms.items():
                 exp = _as_exponent(exp)
@@ -86,14 +84,14 @@ class Polynomial:
         self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: Dict[Exponent, Coeff]) -> "Polynomial":
+    def _raw(cls, terms: Dict[Exponent, int]) -> "Polynomial":
         """Wrap a dict of checked, nonzero terms that no one else holds."""
         out = cls.__new__(cls)
         out._terms = terms
         return out
 
     @property
-    def terms(self) -> Mapping[Exponent, Coeff]:
+    def terms(self) -> Mapping[Exponent, int]:
         """Read-only view of the exponent -> coefficient terms."""
         return MappingProxyType(self._terms)
 
@@ -102,7 +100,7 @@ class Polynomial:
         return cls._raw({})
 
     @classmethod
-    def constant(cls, value: Coeff) -> "Polynomial":
+    def constant(cls, value: int) -> "Polynomial":
         value = _as_coeff(value)
         return cls._raw({ZERO_EXP: value}) if value else cls.zero()
 
@@ -114,7 +112,7 @@ class Polynomial:
         return cls._raw({exp: 1})
 
     @classmethod
-    def monomial(cls, exp: Sequence[int], coeff: Coeff = 1) -> "Polynomial":
+    def monomial(cls, exp: Sequence[int], coeff: int = 1) -> "Polynomial":
         exp = _as_exponent(tuple(exp))
         coeff = _as_coeff(coeff)
         return cls._raw({exp: coeff}) if coeff else cls.zero()
@@ -132,14 +130,14 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             if not other:
                 return not self._terms
             return self._terms == {ZERO_EXP: other}
         return NotImplemented
 
-    def __add__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: Polynomial | int) -> "Polynomial":
+        if isinstance(other, int):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -161,24 +159,24 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: Polynomial | int) -> "Polynomial":
+        if isinstance(other, int):
             return self + (-other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Coeff) -> "Polynomial":
+    def __rsub__(self, other: int) -> "Polynomial":
         return (-self) + other
 
-    def __mul__(self, other: Union["Polynomial", Coeff]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: Polynomial | int) -> "Polynomial":
+        if isinstance(other, int):
             if not other:
                 return Polynomial.zero()
             return Polynomial._raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: Dict[Exponent, Coeff] = {}
+        out: Dict[Exponent, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
@@ -199,7 +197,7 @@ class Polynomial:
             result = result * self
         return result
 
-    def sorted_terms(self) -> List[Tuple[Exponent, Coeff]]:
+    def sorted_terms(self) -> List[Tuple[Exponent, int]]:
         """Terms ordered by total degree then lexicographically, both descending."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
@@ -235,9 +233,9 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def from_pairs(pairs: Iterable[Tuple[Coeff, Sequence[int]]]) -> Polynomial:
+def from_pairs(pairs: Iterable[Tuple[int, Sequence[int]]]) -> Polynomial:
     """Build a polynomial from (coefficient, variable-index list) products."""
-    acc: Dict[Exponent, Coeff] = {}
+    acc: Dict[Exponent, int] = {}
     for coeff, indices in pairs:
         exp = [0] * NVARS
         for idx in indices:
@@ -255,7 +253,7 @@ def from_pairs(pairs: Iterable[Tuple[Coeff, Sequence[int]]]) -> Polynomial:
 
 def dual(poly: Polynomial) -> Polynomial:
     """Degree-preserving involution pairing xr with x(27-r) and negating x13, x14."""
-    out: Dict[Exponent, Coeff] = {}
+    out: Dict[Exponent, int] = {}
     for exp, coeff in poly._terms.items():
         new = [0] * NVARS
         for j, k in enumerate(exp):
@@ -280,9 +278,9 @@ class Derivation:
 
     __slots__ = ("columns",)
 
-    def __init__(self, cells: Iterable[Tuple[int, int, Coeff]] = ()) -> None:
+    def __init__(self, cells: Iterable[Tuple[int, int, int]] = ()) -> None:
         """Operator with matrix cells (i, j, c), 0-based; repeated cells add up."""
-        acc: Dict[int, Dict[int, Coeff]] = {}
+        acc: Dict[int, Dict[int, int]] = {}
         for i, j, c in cells:
             if not (0 <= i < NVARS and 0 <= j < NVARS):
                 raise ValueError(f"matrix cell ({i}, {j}) is outside 0..{NVARS - 1}")
@@ -302,13 +300,13 @@ class Derivation:
         raise AttributeError("Derivation is immutable")
 
     @classmethod
-    def from_terms(cls, terms: Iterable[Tuple[int, int, Coeff]]) -> "Derivation":
+    def from_terms(cls, terms: Iterable[Tuple[int, int, int]]) -> "Derivation":
         """Build sum of c * x_r * d/dx_s from (r, s, c) triples (1-based)."""
         return cls((r - 1, s - 1, c) for r, s, c in terms)
 
     def apply(self, poly: Polynomial) -> Polynomial:
         """Act on each monomial: x^e -> sum of c * e[j] * x^(e - e_j + e_i)."""
-        out: Dict[Exponent, Coeff] = {}
+        out: Dict[Exponent, int] = {}
         for exp, coeff in poly._terms.items():
             for j, entries in self.columns:
                 k = exp[j]
@@ -333,7 +331,7 @@ class Derivation:
     def commutator(self, other: "Derivation") -> "Derivation":
         """[self, other] = self o other - other o self: the matrix AB - BA."""
         a, b = dict(self.columns), dict(other.columns)
-        cells: List[Tuple[int, int, Coeff]] = []
+        cells: List[Tuple[int, int, int]] = []
         for sign, left, right in ((1, a, b), (-1, b, a)):
             for j, entries in right.items():
                 for m, c in entries:
@@ -490,9 +488,6 @@ def degree_weight_table(degree: int) -> Mapping[Weight, Tuple[Exponent, ...]]:
 
 
 def poly_to_json(poly: Polynomial) -> List[Dict[str, object]]:
-    """Serialize to a list of {exp, num, den} records in canonical term order."""
-    out = []
-    for exp, coeff in poly.sorted_terms():
-        frac = Fraction(coeff)
-        out.append({"exp": list(exp), "num": str(frac.numerator), "den": str(frac.denominator)})
-    return out
+    """Serialize to a list of {exp, num, den} records in canonical term order;
+    every coefficient is an integer, so den is always "1"."""
+    return [{"exp": list(exp), "num": str(coeff), "den": "1"} for exp, coeff in poly.sorted_terms()]

@@ -5,16 +5,14 @@ classification, and the invariant Laplacian."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import algebra, linalg, poly
 from .algebra import F4Root
 from .dimensions import generator_exponents, highest_weight, module_exponents
 from .poly import Derivation, Polynomial
 
-Coeff = Union[int, Fraction]
 # ('h', i) with i in 1..4, or ('e', positive root 4-tuple, +1/-1).
 OperatorLabel = Tuple
 
@@ -202,7 +200,7 @@ def validate_table() -> Tuple[TableErratum, ...]:
         for i, j in sorted(transcribed.keys() | oracle.keys()):
             a, b = transcribed.get((i, j), 0), oracle.get((i, j), 0)
             if a != b:
-                records.append(TableErratum(name, i + 1, j + 1, str(Fraction(a)), str(Fraction(b))))
+                records.append(TableErratum(name, i + 1, j + 1, str(a), str(b)))
     return tuple(records)
 
 
@@ -306,10 +304,9 @@ def theta() -> Polynomial:
     combined = X(1) * zeta(2) - X(2) * zeta(1)
     out = {}
     for exp, coeff in combined.terms.items():
-        frac = Fraction(coeff, 3)
-        if frac.denominator != 1:
+        out[exp], remainder = divmod(coeff, 3)
+        if remainder:
             raise ArithmeticError("cubic singular vector is not integral")
-        out[exp] = frac.numerator
     return Polynomial._raw(out)
 
 
@@ -607,15 +604,18 @@ Coded = Tuple[int, Tuple[Tuple[int, int], ...]]
 
 def _coded(monomials: Sequence[poly.Exponent], base: int) -> List[Coded]:
     powers = [base**v for v in range(poly.NVARS)]
+    # Every support shares these pair tuples: the last weight block of degree 6
+    # alone would otherwise build 17,676 of them, about 1 MB.
+    pairs = [[(v, k) for k in range(base)] for v in range(poly.NVARS)]
     coded = []
     for exp in monomials:
-        support = tuple((v, k) for v, k in enumerate(exp) if k)
+        support = tuple(pairs[v][k] for v, k in enumerate(exp) if k)
         coded.append((sum(k * powers[v] for v, k in support), support))
     return coded
 
 
 # Per variable j, the (shift, c) pairs of an operator's cells in column j.
-ShiftTable = Tuple[Tuple[Tuple[int, Coeff], ...], ...]
+ShiftTable = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 
 def _shift_table(op: Derivation, base: int) -> ShiftTable:
@@ -623,19 +623,19 @@ def _shift_table(op: Derivation, base: int) -> ShiftTable:
     entry j holds (base**i - base**j, c) for each cell (i, j, c), i increasing.
     The cell sends x^e to c * e[j] times the monomial whose code is the code
     of x^e plus that shift."""
-    table: List[Tuple[Tuple[int, Coeff], ...]] = [()] * poly.NVARS
+    table: List[Tuple[Tuple[int, int], ...]] = [()] * poly.NVARS
     for j, entries in op.columns:
         table[j] = tuple((base**i - base**j, c) for i, c in entries)
     return tuple(table)
 
 
-def _block_rows(coded: Sequence[Coded], tables: Sequence[ShiftTable]) -> List[Dict[int, Coeff]]:
+def _block_rows(coded: Sequence[Coded], tables: Sequence[ShiftTable]) -> List[Dict[int, int]]:
     """The rows of one weight block: row (operator index, target code) holds, at
     column j, the coefficient of the target in the image of monomial j.  Rows
     appear in the order Derivation.apply writes the images, monomial by
     monomial, then operator by operator.  A raising operator has no diagonal
     cell (it shifts weight by a root), so distinct cells give distinct targets."""
-    rows: Dict[Tuple[int, int], Dict[int, Coeff]] = {}
+    rows: Dict[Tuple[int, int], Dict[int, int]] = {}
     for j, (code, support) in enumerate(coded):
         for oi, table in enumerate(tables):
             for v, k in support:
@@ -676,7 +676,7 @@ def singular_vectors(degree: int) -> SingularReport:
         for vec in kernel:
             terms = [(coded[j], a) for j, a in enumerate(vec) if a]
             for table in raisers:
-                image: Dict[int, Coeff] = {}
+                image: Dict[int, int] = {}
                 for (code, support), a in terms:
                     for v, k in support:
                         for shift, c in table[v]:
@@ -694,7 +694,7 @@ def singular_vectors(degree: int) -> SingularReport:
     return SingularReport(degree, len(generator_exponents(degree)), tuple(entries))
 
 
-def _poly_rows(polys: Sequence[Polynomial]) -> List[Dict[int, Coeff]]:
+def _poly_rows(polys: Sequence[Polynomial]) -> List[Dict[int, int]]:
     """Coordinate rows of polynomials over their union of monomials."""
     cols: Dict[Tuple[int, ...], int] = {}
     for f in polys:
@@ -734,10 +734,10 @@ def products_span_kernels(report: SingularReport) -> bool:
 
 # The twelve mirror-pair terms, 3*d_r*d_(27-r), that the Laplacian and its
 # printed form share.
-_LAPLACIAN_PAIRED: Tuple[Tuple[int, int, Coeff], ...] = tuple((r, 27 - r, 3) for r in range(1, 13))
+_LAPLACIAN_PAIRED: Tuple[Tuple[int, int, int], ...] = tuple((r, 27 - r, 3) for r in range(1, 13))
 
 
-def laplacian() -> Tuple[Tuple[int, int, Coeff], ...]:
+def laplacian() -> Tuple[Tuple[int, int, int], ...]:
     """Second-order invariant operator as (var, var, coefficient) triples.
 
     The symbol is dual to the quadratic invariant: the paired block inverts
@@ -749,13 +749,13 @@ def laplacian() -> Tuple[Tuple[int, int, Coeff], ...]:
     return _LAPLACIAN_PAIRED + ((13, 13, -3), (13, 14, 3), (14, 14, -3))
 
 
-def laplacian_printed() -> Tuple[Tuple[int, int, Coeff], ...]:
+def laplacian_printed() -> Tuple[Tuple[int, int, int], ...]:
     """Printed form of the second-order operator (zero-weight block differs)."""
     return _LAPLACIAN_PAIRED + ((13, 13, -1), (13, 14, -1), (14, 14, -1))
 
 
 # The Laplacian's terms as 0-based cells (a, b, c), meaning c * d_a * d_b.
-_LAPLACIAN_CELLS: Tuple[Tuple[int, int, Coeff], ...] = tuple(
+_LAPLACIAN_CELLS: Tuple[Tuple[int, int, int], ...] = tuple(
     (a - 1, b - 1, c) for a, b, c in laplacian()
 )
 
@@ -764,7 +764,7 @@ def apply_laplacian(f: Polynomial) -> Polynomial:
     """Act on each monomial x^e term by term: a cross term c*d_a*d_b (a != b)
     maps it to c*e[a]*e[b]*x^(e - e_a - e_b), a square term c*d_a^2 to
     c*e[a]*(e[a]-1)*x^(e - 2*e_a); terms that cancel are dropped."""
-    out: Dict[poly.Exponent, Coeff] = {}
+    out: Dict[poly.Exponent, int] = {}
     for exp, coeff in f._terms.items():
         for a, b, c in _LAPLACIAN_CELLS:
             ka = exp[a]
@@ -783,16 +783,16 @@ def apply_laplacian(f: Polynomial) -> Polynomial:
     return Polynomial._raw(out)
 
 
-def laplacian_commutator_symbol(op: Derivation) -> Dict[Tuple[int, int], Coeff]:
+def laplacian_commutator_symbol(op: Derivation) -> Dict[Tuple[int, int], int]:
     """Exact symbol of [Laplacian, op]; {} iff they commute.
 
     A cell k*x_r*d_s of op and a Laplacian term c*d_a*d_b contribute
     c*k*d_b*d_s when a == r and c*k*d_a*d_s when b == r, collected on
     unordered derivative pairs.
     """
-    acc: Dict[Tuple[int, int], Coeff] = {}
+    acc: Dict[Tuple[int, int], int] = {}
 
-    def add(u: int, v: int, c: Coeff) -> None:
+    def add(u: int, v: int, c: int) -> None:
         key = (u, v) if u <= v else (v, u)
         new = acc.get(key, 0) + c
         if new:

@@ -6,7 +6,7 @@ is checked against, the plain monomial enumeration that
 triple-by-triple Jacobi sweep that ``lattice.all_roots`` and
 ``algebra.jacobi_failures`` are checked against, the dense operator matrix
 that products of operators are checked with, small functions only the tests
-use, and pools of small exact values for hypothesis to sample."""
+use, and pools of small integers for hypothesis to sample."""
 
 import math
 from collections import Counter
@@ -75,19 +75,10 @@ def reference_jacobi_failures(table, limit):
     return tuple(failures)
 
 
-def exact_values(int_bound, fraction_bound, max_denominator):
-    """Every int in -int_bound..int_bound and every Fraction in
-    -fraction_bound..fraction_bound with denominator at most max_denominator.
-
-    Sampling from this fixed pool gives the same values as a union of
-    st.integers and st.fractions, and hypothesis draws it several times
-    faster."""
-    fractions = {
-        Fraction(p, q)
-        for q in range(1, max_denominator + 1)
-        for p in range(-fraction_bound * q, fraction_bound * q + 1)
-    }
-    return tuple(range(-int_bound, int_bound + 1)) + tuple(sorted(fractions))
+def exact_values(bound):
+    """Every int in -bound..bound: the coefficients, which are integers, that
+    hypothesis samples from a fixed pool."""
+    return tuple(range(-bound, bound + 1))
 
 
 def is_homogeneous(f):
@@ -99,9 +90,9 @@ def poly_from_json(data):
     terms = {}
     for record in data:
         exp = tuple(int(k) for k in record["exp"])
-        coeff = Fraction(int(str(record["num"])), int(str(record["den"])))
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
+        if record["den"] != "1":
+            raise ValueError(f"coefficient is not an integer: {record}")
+        coeff = int(record["num"])
         if coeff:
             terms[exp] = terms.get(exp, 0) + coeff
     return Polynomial(terms)

@@ -1,6 +1,5 @@
 """Tests for the 78-dimensional algebra, its involution, and the fold to rank 4."""
 
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -241,10 +240,10 @@ def test_module_basis_is_odd_and_independent():
 
 
 def test_decompose_v_roundtrip_and_rejection():
-    terms = ((1, 3), (13, -2), (26, 1), (7, Fraction(1, 2)))
+    terms = ((1, 3), (13, -2), (26, 1), (7, 5))
     combo = combine(*((c, algebra.v_basis(i)) for i, c in terms))
     coords = algebra.decompose_v(combo)
-    assert coords == ((1, 3), (7, Fraction(1, 2)), (13, -2), (26, 1))
+    assert coords == ((1, 3), (7, 5), (13, -2), (26, 1))
     with pytest.raises(ValueError):
         algebra.decompose_v(_coroot(2))
     # A root vector at an involution-fixed root is outside the module.

@@ -148,7 +148,8 @@ def test_runs_as_module(module):
 
 
 # Prints, after the statement, the f4poly modules that a fresh interpreter loaded,
-# and fractions and decimal if they were loaded: only the rational layers need them.
+# and fractions and decimal if they were loaded: the coefficients are integers, so
+# no command loads them.
 LOADED = """
 import contextlib, io, sys
 from f4poly import cli
@@ -167,12 +168,19 @@ print(" ".join(sorted(names)))
         ("cli.main(['branch', '--degree', '2'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
         ("cli.main(['dim', '0', '1'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
         ("cli.main(['export', 'roots'])", {"f4poly", "f4poly.cli", "f4poly.lattice"}),
+        ("cli.main(['singular', '--degree', '2'])", MODULES - {"f4poly.checks"}),
+        ("cli.main(['verify', 'all'])", MODULES),
+        ("cli.main(['errata'])", MODULES - {"f4poly.checks"}),
+        # The bench child's path: import f4poly.cli, then f4poly.representation.
         (
-            "cli.main(['singular', '--degree', '2'])",
-            MODULES - {"f4poly.checks"} | {"fractions", "decimal"},
+            "import f4poly; f4poly.representation.laplacian_commutes_on_degree(1)",
+            MODULES - {"f4poly.checks"},
         ),
     ],
-    ids=["import", "identity", "branch", "dim", "export-roots", "singular"],
+    ids=[
+        "import", "identity", "branch", "dim", "export-roots", "singular", "verify-all",
+        "errata", "laplacian",
+    ],
 )
 def test_each_command_imports_only_what_it_runs(statement, loaded):
     result = subprocess.run(

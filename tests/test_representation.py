@@ -375,7 +375,7 @@ laplacian_factors = st.one_of(
     ),
     st.integers(1, 26).map(X),
 )
-laplacian_coeffs = st.sampled_from(exact_values(3, 2, 3))
+laplacian_coeffs = st.sampled_from(exact_values(3))
 laplacian_terms = st.tuples(laplacian_coeffs, st.lists(laplacian_factors, max_size=3)).map(
     lambda cf: cf[0] * prod(cf[1], start=Polynomial.constant(1))
 )
