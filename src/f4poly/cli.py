@@ -19,12 +19,13 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 12345
 
 # Input ceilings, refused at parsing (exit 2) before any work.  Time of
-# ``singular`` follows the C(K+25, 25) monomials of degree K, all built and
-# weighed, mostly in C (only the dominant ones reach a Python loop), and its
-# memory the dominant ones it keeps; ``identity`` makes O(N^3) cheap integer
-# ``weyl_dim`` calls; ``branch`` makes about K^4/864 of them, one per generator
-# exponent tuple, streamed, so its memory stays flat; ``harmonic`` multiplies out
-# and holds every witness product, whose terms grow steeply with K.  README gives
+# ``singular`` follows the C(K+25, 25) monomials of degree K, all built, mostly
+# in C, and weighed once per head block, the monomials sharing their x1..x16
+# exponents (only the dominant ones reach a Python loop), and its memory the
+# dominant ones it keeps; ``identity`` makes O(N^3) cheap integer ``weyl_dim``
+# calls; ``branch`` makes about K^4/864 of them, one per generator exponent
+# tuple, streamed, so its memory stays flat; ``harmonic`` multiplies out and
+# holds every witness product, whose terms grow steeply with K.  README gives
 # the measured cost at each ceiling.
 MAX_SINGULAR_DEGREE = 7
 MAX_IDENTITY_ORDER = 120

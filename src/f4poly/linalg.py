@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the integers: echelon form, rank, nullspace.
 
-Rows are dicts column -> int coefficient (zeros absent); any other entry
-raises TypeError.  The elimination is a fraction-free left-to-right column
-scan: rows are rescaled to primitive integer vectors after every
-combination, so all intermediate entries stay integral.
+Rows are dicts column -> int coefficient (zeros absent); any other entry,
+a bool included, raises TypeError.  The elimination is a fraction-free
+left-to-right column scan: rows are rescaled to primitive integer vectors
+after every combination, so all intermediate entries stay integral.
 
 ``nullspace`` first runs the singleton-row and doubleton-equation steps of LP
 presolve (Andersen and Andersen, "Presolving in linear programming", 1995),
@@ -42,12 +42,12 @@ Row = Dict[int, int]
 
 
 def _to_int_row(row: Dict[int, object]) -> Row:
-    """Divide by the content and drop zeros.  Entries must be ints: anything
-    else raises TypeError."""
+    """Divide by the content and drop zeros.  Entries must be exactly int:
+    anything else, a bool included, raises TypeError."""
     out: Row = {}
     g = 0
     for col, c in row.items():
-        if not isinstance(c, int):
+        if type(c) is not int:
             raise TypeError(f"expected an integer, got {type(c).__name__}")
         if c:
             out[col] = c
@@ -132,9 +132,9 @@ def _doubleton_presolve(
 
     Returns (cls, mult, forced, reduced): forced is indexed by class id, and
     reduced holds the rows left, read through the final classes.  The rows
-    are read in place, neither copied nor changed.  An entry that is not an
-    int raises TypeError before the first reading, as in _to_int_row: a
-    float would be solved inexactly, or read as zero.
+    are read in place, neither copied nor changed.  An entry that is not
+    exactly an int raises TypeError before the first reading, as in
+    _to_int_row: a float would be solved inexactly, or read as zero.
     """
     cls = list(range(ncols))
     mult = [1] * ncols
@@ -145,7 +145,7 @@ def _doubleton_presolve(
     for row in pending:
         kinds.update(map(type, row.values()))
     for kind in kinds:
-        if not issubclass(kind, int):
+        if kind is not int:
             raise TypeError(f"expected an integer, got {kind.__name__}")
     changed = True
     while changed:

@@ -3,7 +3,9 @@ dual involution, and weight grading used by the folded-algebra realization."""
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement, compress, tee
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement, repeat
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -70,7 +72,9 @@ class Polynomial:
 
     Read-only: ``terms`` is a view of the private dict ``_terms``, which no
     operation changes once the polynomial is built, so a shared polynomial (a
-    cached one, or ``zero() + p``, which is ``p``) cannot be changed."""
+    cached one, or ``zero() + p``, which is ``p``) cannot be changed.  A
+    scalar in ``+``, ``-`` and ``*`` must be exactly an int, as a coefficient
+    must: a bool raises TypeError."""
 
     __slots__ = ("_terms",)
 
@@ -137,7 +141,7 @@ class Polynomial:
         return NotImplemented
 
     def __add__(self, other: Polynomial | int) -> "Polynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -160,7 +164,7 @@ class Polynomial:
         return Polynomial._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | int) -> "Polynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             return self + (-other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -170,7 +174,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other: Polynomial | int) -> "Polynomial":
-        if isinstance(other, int):
+        if type(other) is int:
             if not other:
                 return Polynomial.zero()
             return Polynomial._raw({e: c * other for e, c in self._terms.items()})
@@ -179,7 +183,7 @@ class Polynomial:
         out: Dict[Exponent, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 new = out.get(exp, 0) + c1 * c2
                 if new:
                     out[exp] = new
@@ -410,22 +414,37 @@ def _exponent_tuples(nvars: int, degree: int) -> Iterator[Exponent]:
         yield tuple(exp)
 
 
+def _joined_exponents(
+    nvars: int, degree: int, tails: Sequence[Sequence[Exponent]]
+) -> Iterator[Exponent]:
+    """The tuples of _exponent_tuples(nvars, degree), in the same order, but
+    past _TAIL variables each joined in C from a head over the first
+    nvars - _TAIL variables and a tail over the last _TAIL, tails[r] holding
+    the tails of degree r.  The heads carry one more, slack, coordinate, the
+    degree r left to the tail, and are walked by this function in turn; each
+    is followed by every tail of degree r in order, which is the order of
+    the whole tuples."""
+    if nvars <= _TAIL:
+        return _exponent_tuples(nvars, degree)
+    heads = _joined_exponents(nvars - _TAIL + 1, degree, tails)
+    return chain.from_iterable(map(head[:-1].__add__, tails[head[-1]]) for head in heads)
+
+
 def monomials_of_degree(degree: int) -> Iterator[Exponent]:
     """All exponent tuples of the given total degree, in a fixed canonical order:
     that of combinations_with_replacement(range(NVARS), degree), descending
     lexicographic on exponents.
 
-    Each tuple is a head over the first NVARS - _TAIL variables followed by a
-    tail over the last _TAIL.  The heads carry one more, slack, coordinate,
-    the degree left to the tail; walked in descending lexicographic order,
-    each is followed by all tails of that degree in the same order, which is
-    the order of the whole tuples.  Only heads and tails are built in Python;
-    the 736,281 tuples of degree 6 are joined by tuple addition in C."""
+    Each tuple is a head over the first NVARS - _TAIL variables followed by
+    a tail over the last _TAIL, and each head, with its slack coordinate, is
+    in turn a head over 7 + 1 coordinates and a tail over 10 (see
+    _joined_exponents).  Only the 8,008 tails and 1,716 inner heads are
+    built in Python at degree 6; the 74,613 heads and the 736,281 tuples are
+    joined by tuple addition in C."""
     if degree < 0:
         return iter(())
     tails = [list(_exponent_tuples(_TAIL, r)) for r in range(degree + 1)]
-    heads = _exponent_tuples(NVARS - _TAIL + 1, degree)
-    return chain.from_iterable(map(head[:-1].__add__, tails[head[-1]]) for head in heads)
+    return _joined_exponents(NVARS, degree, tails)
 
 
 # Largest |component| of a variable weight, so a degree-d weight has every
@@ -462,29 +481,72 @@ def degree_weight_table(degree: int) -> Mapping[Weight, Tuple[Exponent, ...]]:
 
     The weights of degree-`degree` monomials are the `degree`-fold sums of
     the variable weights, packed as ints (packing is linear): 7,225 at
-    degree 6, 39 of them dominant.  The dominant ones are found first.
-    monomials_of_degree walks the index multisets of
-    combinations_with_replacement(range(NVARS), degree), so the same walk
-    over the packed variable weights yields, in the same order, each
-    monomial's packed weight.  compress drops every monomial whose weight is
-    not dominant, in C, and the Python loop sees only the kept ones: 13,205
-    of 736,281 at degree 6.  The enumeration stays whole while
-    bench/run.py's SINGULAR_ANSWERS pins poly.monomials_enumerated.  Built
-    afresh on each call, so freed with the caller's reference; read-only."""
+    degree 6, 39 of them dominant.  They are found first; `half` is their
+    largest |key|, and the n-th dominant key, in descending order, gets the
+    tag n > 0.
+
+    Dominance is then decided once per head, not per monomial.  The order
+    contract: monomials_of_degree joins each monomial from a head over the
+    first NVARS - _TAIL variables and a tail over the last _TAIL, the heads
+    in the order of combinations_with_replacement over the head variables
+    and a slack, whose count r is the tail's degree, each followed by its
+    tails in the order of combinations_with_replacement over the tail
+    variables.  Walking the packed weights the same way, head by head, the
+    n-th tag below belongs to the n-th monomial.  Summing a head of packed
+    weights, the slack's step being 2 * half + 1, gives a code, head key +
+    r * (2 * half + 1).  A head key is the weight
+    of a partial monomial of degree `degree` - r, and x13 is a head variable
+    of weight zero, so the partial monomial times x13^r is a degree-`degree`
+    monomial of the same weight: |head key| <= half, and the code decodes to
+    (head key, r).  Each distinct code gets one row of tags, one per tail
+    of degree r, 0 for a weight that is not dominant, and the all-zero rows
+    are shared, one per r: 5,166 codes for 74,613 heads at degree 6, 467 of
+    them with a nonzero tag.  A row is bytes, an eighth of a tuple's size:
+    a tag fits in a byte through degree 12 (249 dominant weights), far
+    beyond the degrees the walk can reach.  Chained, the rows give each
+    monomial's tag, and filter keeps the nonzero ones, in C, so the Python
+    loop sees only the kept monomials: 13,205 of 736,281 at degree 6.
+
+    The enumeration stays whole while bench/run.py's SINGULAR_ANSWERS pins
+    poly.monomials_enumerated.  Built afresh on each call, so freed with the
+    caller's reference; read-only."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     packed = tuple(pack_weight(w, degree) for w in VARIABLE_WEIGHTS)
     steps = set(packed)
     reached = {0}
     for _ in range(degree):
         reached = {key + step for key in reached for step in steps}
-    dominant = {key for key in reached if min(unpack_weight(key, degree)) >= 0}
-    blocks: Dict[int, List[Exponent]] = {key: [] for key in sorted(dominant, reverse=True)}
-    keys, probe = tee(map(sum, combinations_with_replacement(packed, degree)))
-    kept = compress(
-        zip(monomials_of_degree(degree), keys, strict=True), map(dominant.__contains__, probe)
+    half = max(map(abs, reached))
+    slack = 2 * half + 1
+    dominant = sorted((k for k in reached if min(unpack_weight(k, degree)) >= 0), reverse=True)
+    tag_of = {key: tag for tag, key in enumerate(dominant, 1)}
+    heads = combinations_with_replacement((*packed[:-_TAIL], slack), degree)
+    tail_keys = [
+        list(map(sum, combinations_with_replacement(packed[-_TAIL:], r))) for r in range(degree + 1)
+    ]
+    untagged = [bytes(len(keys)) for keys in tail_keys]
+
+    @lru_cache(maxsize=None)
+    def tags(code: int) -> bytes:
+        r, head = divmod(code + half, slack)
+        found = bytes(map(tag_of.get, map((head - half).__add__, tail_keys[r]), repeat(0)))
+        return found if any(found) else untagged[r]
+
+    kept = filter(
+        itemgetter(1),
+        zip(
+            monomials_of_degree(degree),
+            chain.from_iterable(map(tags, map(sum, heads))),
+            strict=True,
+        ),
     )
-    for exp, key in kept:
-        blocks[key].append(exp)
-    return MappingProxyType({unpack_weight(k, degree): tuple(block) for k, block in blocks.items()})
+    blocks: List[List[Exponent]] = [[] for _ in dominant]
+    for exp, tag in kept:
+        blocks[tag - 1].append(exp)
+    return MappingProxyType(
+        {unpack_weight(key, degree): tuple(block) for key, block in zip(dominant, blocks)}
+    )
 
 
 def poly_to_json(poly: Polynomial) -> List[Dict[str, object]]:

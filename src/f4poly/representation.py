@@ -687,8 +687,9 @@ def singular_vectors(degree: int) -> SingularReport:
                         "simple-operator kernel vector not annihilated by all raising operators"
                     )
         if kernel:
+            # The monomials come from the table and nullspace returns ints.
             basis = tuple(
-                Polynomial({monomials[j]: c for j, c in enumerate(vec) if c}) for vec in kernel
+                Polynomial._raw({monomials[j]: c for j, c in enumerate(vec) if c}) for vec in kernel
             )
             entries.append(SingularEntry(w, len(basis), basis))
     return SingularReport(degree, len(generator_exponents(degree)), tuple(entries))

@@ -1,8 +1,9 @@
 """Helpers shared by the tests: the plain partial derivative, against which
 ``Derivation.apply`` and ``representation.apply_laplacian`` are checked, the
 row assembly by ``Derivation.apply`` that ``representation.singular_vectors``
-is checked against, the plain monomial enumeration that
-``poly.monomials_of_degree`` is checked against, the plain box scan and the
+is checked against, the plain monomial enumeration and the per-monomial
+weight walk that ``poly.monomials_of_degree`` and
+``poly.degree_weight_table`` are checked against, the plain box scan and the
 triple-by-triple Jacobi sweep that ``lattice.all_roots`` and
 ``algebra.jacobi_failures`` are checked against, the dense operator matrix
 that products of operators are checked with, small functions only the tests
@@ -11,9 +12,9 @@ use, and pools of small integers for hypothesis to sample."""
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product, tee
 
-from f4poly import algebra, dimensions, lattice, linalg, representation
+from f4poly import algebra, dimensions, lattice, linalg, poly, representation
 from f4poly.poly import NVARS, Polynomial
 
 
@@ -36,6 +37,26 @@ def plain_monomials(d):
         for j in combo:
             exp[j] += 1
         yield tuple(exp)
+
+
+def reference_weight_table(d):
+    """The dominant weight blocks of degree d as ``poly.degree_weight_table``
+    built them before it decided dominance per head: one walk of
+    combinations_with_replacement over the packed variable weights, teed,
+    each monomial's key probed in the dominant set and the kept ones picked
+    by compress."""
+    packed = tuple(poly.pack_weight(w, d) for w in poly.VARIABLE_WEIGHTS)
+    steps = set(packed)
+    reached = {0}
+    for _ in range(d):
+        reached = {key + step for key in reached for step in steps}
+    dominant = {key for key in reached if min(poly.unpack_weight(key, d)) >= 0}
+    blocks = {key: [] for key in sorted(dominant, reverse=True)}
+    keys, probe = tee(map(sum, combinations_with_replacement(packed, d)))
+    kept = compress(zip(plain_monomials(d), keys, strict=True), map(dominant.__contains__, probe))
+    for exp, key in kept:
+        blocks[key].append(exp)
+    return {poly.unpack_weight(k, d): tuple(block) for k, block in blocks.items()}
 
 
 def plain_roots():

@@ -353,7 +353,9 @@ def test_determinism():
 
 
 @pytest.mark.parametrize(
-    "bad", [0.5, 1.5, 2.0, Decimal("0.5"), 1e-400, Fraction(1, 2), Fraction(2, 1)], ids=repr
+    "bad",
+    [0.5, 1.5, 2.0, Decimal("0.5"), 1e-400, Fraction(1, 2), Fraction(2, 1), True, False],
+    ids=repr,
 )
 @pytest.mark.parametrize(
     "solve",
@@ -362,10 +364,10 @@ def test_determinism():
 )
 def test_inexact_entries_are_refused(solve, bad):
     """Every entry point refuses an entry that is not an int: a float would be
-    solved inexactly, and a Fraction, even a whole one, is outside the integer
-    rows.  The singleton and doubleton rows are solved by nullspace's presolve
-    without reaching echelon, and 1e-400 is the float 0.0, which the presolve
-    would read as an exact zero."""
+    solved inexactly, and a Fraction, even a whole one, or a bool is outside
+    the integer rows.  The singleton and doubleton rows are solved by
+    nullspace's presolve without reaching echelon, and 1e-400 is the float
+    0.0, which the presolve would read as an exact zero."""
     for rows in ([{0: 1, 1: 1, 2: 1}, {0: bad, 1: 3, 2: 1}], [{0: bad}], [{0: bad, 1: 1}]):
         with pytest.raises(TypeError):
             solve(rows)

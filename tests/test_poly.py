@@ -19,6 +19,7 @@ from helpers import (
     partial,
     plain_monomials,
     poly_from_json,
+    reference_weight_table,
 )
 
 
@@ -61,6 +62,26 @@ def test_bool_coefficients_are_refused(flag):
         poly.from_pairs([(flag, (1,))])
     with pytest.raises(TypeError):
         Derivation([(0, 1, flag)])
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "combine",
+    [
+        lambda f, b: f + b,
+        lambda f, b: b + f,
+        lambda f, b: f - b,
+        lambda f, b: b - f,
+        lambda f, b: f * b,
+        lambda f, b: b * f,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+def test_bool_scalars_are_refused(combine, flag):
+    """A bool scalar is refused by the arithmetic, as it is by the
+    constructors, whichever side it stands on."""
+    with pytest.raises(TypeError):
+        combine(x(1), flag)
 
 
 # Exponent keys that are not 26 nonnegative ints, and the error each raises.
@@ -357,6 +378,16 @@ def test_degree_weight_table_matches_plain_grouping():
         expected = {w: tuple(groups[w]) for w in sorted(groups, reverse=True) if min(w) >= 0}
         table = poly.degree_weight_table(d)
         assert list(table.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_degree_weight_table_matches_reference_walk(d):
+    """Deciding dominance once per head gives the keys, their order and the
+    blocks that weighing every monomial gives."""
+    table = poly.degree_weight_table(d)
+    expected = reference_weight_table(d)
+    assert list(table) == list(expected)
+    assert list(table.items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("d, blocks, monomials", [(4, 16, 709), (5, 25, 3174)])
