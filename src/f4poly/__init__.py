@@ -15,6 +15,7 @@ __all__ = [
     "checks",
     "cli",
     "dimensions",
+    "errata",
     "lattice",
     "linalg",
     "poly",

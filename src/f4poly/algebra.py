@@ -189,7 +189,7 @@ def fold(root: Sequence[int]) -> F4Root:
 
 
 # Positive roots of the folded algebra in presentation order, which operator
-# labels and errata records follow.
+# labels and the transcribed tables follow.
 F4_POSITIVE: Tuple[F4Root, ...] = (
     (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
     (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 1, 1, 0),

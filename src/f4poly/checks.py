@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Tuple
 
-from . import algebra, lattice, poly, representation
+from . import algebra, errata, lattice, poly, representation
 
 Check = Tuple[str, bool]
 
@@ -94,7 +94,7 @@ def _random_polynomial(rng: random.Random, degree: int, terms: int) -> poly.Poly
 
 def rep_checks(rng: random.Random) -> List[Check]:
     labels = representation.operator_labels()
-    cells = set(representation.validate_table())
+    cells = set(errata.validate_table())
     known = {
         ("E+(0,1,1,0)", 3, 5, "1", "-1"),
         ("E+(0,1,1,0)", 22, 24, "-1", "1"),
@@ -126,13 +126,13 @@ def invariant_checks(rng: random.Random) -> List[Check]:
     ops = representation.root_operators()
     eta1 = representation.eta1()
     eta2 = representation.eta2()
-    diff = eta2 - representation.eta2_printed()
-    logged = {record["label"]: record for record in representation.formula_errata()}
+    diff = eta2 - errata.eta2_printed()
+    logged = {record["label"]: record for record in errata.formula_errata()}
     expansion = logged.get("cubic invariant expansion")
     return [
         (
             "quadratic chain reproduces the recorded formulas",
-            all(representation.zeta(r) == representation.zeta_printed(r) for r in range(1, 15)),
+            all(representation.zeta(r) == errata.zeta_printed(r) for r in range(1, 15)),
         ),
         (
             "module copy intertwines all eight simple operators",
@@ -140,7 +140,7 @@ def invariant_checks(rng: random.Random) -> List[Check]:
         ),
         (
             "cubic singular vector matches its recorded form",
-            representation.theta() == representation.theta_printed(),
+            representation.theta() == errata.theta_printed(),
         ),
         (
             "quadratic invariant annihilated by all 48 root operators",
@@ -159,7 +159,7 @@ def invariant_checks(rng: random.Random) -> List[Check]:
             "elimination identities hold exactly (allowing logged corrections)",
             all(
                 item.holds or item.holds_with_correction
-                for item in representation.verify_elimination_identities()
+                for item in errata.verify_elimination_identities()
             ),
         ),
         (

@@ -171,10 +171,10 @@ def _cmd_harmonic(args: argparse.Namespace) -> Result:
 
 
 def _cmd_errata(args: argparse.Namespace) -> Result:
-    from . import representation
+    from . import errata
 
-    table = [record._asdict() for record in representation.validate_table()]
-    formulas = representation.formula_errata()
+    table = [record._asdict() for record in errata.validate_table()]
+    formulas = errata.formula_errata()
     lines = [f"operator-table cells differing from the oracle: {len(table)}"]
     for record in table:
         lines.append(

@@ -134,7 +134,9 @@ def _doubleton_presolve(
     reduced holds the rows left, read through the final classes.  The rows
     are read in place, neither copied nor changed.  An entry that is not
     exactly an int raises TypeError before the first reading, as in
-    _to_int_row: a float would be solved inexactly, or read as zero.
+    _to_int_row: a float would be solved inexactly, or read as zero.  A
+    column outside 0..ncols-1 raises ValueError there too: a negative one
+    would wrap around to a column from the end.
     """
     cls = list(range(ncols))
     mult = [1] * ncols
@@ -142,11 +144,16 @@ def _doubleton_presolve(
     forced = [False] * ncols
     pending = list(rows)
     kinds = set()
+    columns = set()
     for row in pending:
         kinds.update(map(type, row.values()))
+        columns.update(row)
     for kind in kinds:
         if kind is not int:
             raise TypeError(f"expected an integer, got {kind.__name__}")
+    outside = columns.difference(range(ncols))
+    if outside:
+        raise ValueError(f"column {min(outside)} is outside 0..{ncols - 1}")
     changed = True
     while changed:
         changed = False
@@ -188,7 +195,8 @@ def _doubleton_presolve(
 def nullspace(rows: Iterable[Dict[int, object]], ncols: int) -> List[Tuple[int, ...]]:
     """Primitive integer basis of the right kernel, one vector per free column.
 
-    Vectors are length-ncols tuples.  Each vector's last nonzero entry sits at
+    Vectors are length-ncols tuples, and a row column outside 0..ncols-1
+    raises ValueError.  Each vector's last nonzero entry sits at
     its free column, where the other vectors are zero; the basis is ordered by
     free column and each vector is normalized so its first nonzero entry is
     positive.

@@ -59,6 +59,16 @@ def _as_coeff(value: int) -> int:
     raise TypeError(f"expected an integer, got {type(value).__name__}")
 
 
+def _as_variable(index: int) -> int:
+    """A 1-based variable index: exactly an int (a bool or a float raises
+    TypeError) in 1..NVARS."""
+    if type(index) is not int:
+        raise TypeError(f"variable index must be an int, got {index!r}")
+    if not 1 <= index <= NVARS:
+        raise ValueError(f"variable index must be in 1..{NVARS}, got {index}")
+    return index
+
+
 def _as_exponent(exp: Exponent) -> Exponent:
     if type(exp) is not tuple or any(type(k) is not int for k in exp):
         raise TypeError(f"exponent must be a tuple of ints, got {exp!r}")
@@ -110,8 +120,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, index: int) -> "Polynomial":
-        if not 1 <= index <= NVARS:
-            raise ValueError(f"variable index must be in 1..{NVARS}, got {index}")
+        index = _as_variable(index)
         exp = tuple(1 if j == index - 1 else 0 for j in range(NVARS))
         return cls._raw({exp: 1})
 
@@ -243,9 +252,7 @@ def from_pairs(pairs: Iterable[Tuple[int, Sequence[int]]]) -> Polynomial:
     for coeff, indices in pairs:
         exp = [0] * NVARS
         for idx in indices:
-            if not 1 <= idx <= NVARS:
-                raise ValueError(f"variable index must be in 1..{NVARS}, got {idx}")
-            exp[idx - 1] += 1
+            exp[_as_variable(idx) - 1] += 1
         key = tuple(exp)
         new = acc.get(key, 0) + _as_coeff(coeff)
         if new:
@@ -283,9 +290,12 @@ class Derivation:
     __slots__ = ("columns",)
 
     def __init__(self, cells: Iterable[Tuple[int, int, int]] = ()) -> None:
-        """Operator with matrix cells (i, j, c), 0-based; repeated cells add up."""
+        """Operator with matrix cells (i, j, c), 0-based; repeated cells add up.
+        An index that is not exactly an int, a bool included, raises TypeError."""
         acc: Dict[int, Dict[int, int]] = {}
         for i, j, c in cells:
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"matrix cell indices must be ints, got ({i!r}, {j!r})")
             if not (0 <= i < NVARS and 0 <= j < NVARS):
                 raise ValueError(f"matrix cell ({i}, {j}) is outside 0..{NVARS - 1}")
             column = acc.setdefault(j, {})
@@ -306,7 +316,7 @@ class Derivation:
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple[int, int, int]]) -> "Derivation":
         """Build sum of c * x_r * d/dx_s from (r, s, c) triples (1-based)."""
-        return cls((r - 1, s - 1, c) for r, s, c in terms)
+        return cls((_as_variable(r) - 1, _as_variable(s) - 1, c) for r, s, c in terms)
 
     def apply(self, poly: Polynomial) -> Polynomial:
         """Act on each monomial: x^e -> sum of c * e[j] * x^(e - e_j + e_i)."""

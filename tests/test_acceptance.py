@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from f4poly import checks, cli, dimensions, lattice, poly, representation
+from f4poly import checks, cli, dimensions, errata, lattice, poly, representation
 from helpers import branching_matches_monomial_count, predicted_weight_counts, printed_constant_ratio
 
 
@@ -62,10 +62,10 @@ def test_criterion_03_operator_oracle_and_errata():
 def test_criterion_04_invariants_and_elimination():
     # annihilation and the logged expansion diff are named invariants checks;
     # an identity that holds only with its correction must be logged
-    logged = {record["label"] for record in representation.formula_errata()}
+    logged = {record["label"] for record in errata.formula_errata()}
     ok = all(
         check.holds or f"elimination identity for {check.name}" in logged
-        for check in representation.verify_elimination_identities()
+        for check in errata.verify_elimination_identities()
     )
     assert _report(
         "criterion 4: both invariants annihilated; expansion and eliminations verified", ok
@@ -75,7 +75,7 @@ def test_criterion_04_invariants_and_elimination():
 def test_criterion_05_quadratic_module_copy():
     # the chain's printed form and the intertwining are named invariants checks;
     # each broken mirror rule must be logged
-    logged = {record["label"] for record in representation.formula_errata()}
+    logged = {record["label"] for record in errata.formula_errata()}
     ok = all(
         f"quadratic copy {r} mirror rule" in logged
         for r in range(15, 27)

@@ -168,18 +168,24 @@ print(" ".join(sorted(names)))
         ("cli.main(['branch', '--degree', '2'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
         ("cli.main(['dim', '0', '1'])", {"f4poly", "f4poly.cli", "f4poly.dimensions"}),
         ("cli.main(['export', 'roots'])", {"f4poly", "f4poly.cli", "f4poly.lattice"}),
-        ("cli.main(['singular', '--degree', '2'])", MODULES - {"f4poly.checks"}),
+        (
+            "cli.main(['export', 'structure'])",
+            {"f4poly", "f4poly.cli", "f4poly.algebra", "f4poly.lattice", "f4poly.linalg"},
+        ),
+        # The construction commands compile no transcribed table or printed formula.
+        ("cli.main(['singular', '--degree', '2'])", MODULES - {"f4poly.checks", "f4poly.errata"}),
+        ("cli.main(['harmonic', '--degree', '2'])", MODULES - {"f4poly.checks", "f4poly.errata"}),
         ("cli.main(['verify', 'all'])", MODULES),
         ("cli.main(['errata'])", MODULES - {"f4poly.checks"}),
         # The bench child's path: import f4poly.cli, then f4poly.representation.
         (
             "import f4poly; f4poly.representation.laplacian_commutes_on_degree(1)",
-            MODULES - {"f4poly.checks"},
+            MODULES - {"f4poly.checks", "f4poly.errata"},
         ),
     ],
     ids=[
-        "import", "identity", "branch", "dim", "export-roots", "singular", "verify-all",
-        "errata", "laplacian",
+        "import", "identity", "branch", "dim", "export-roots", "export-structure", "singular",
+        "harmonic", "verify-all", "errata", "laplacian",
     ],
 )
 def test_each_command_imports_only_what_it_runs(statement, loaded):

@@ -353,6 +353,18 @@ def test_determinism():
 
 
 @pytest.mark.parametrize(
+    "rows",
+    [[{-1: 1}], [{0: 1, -1: 1}], [{3: 1}], [{0: 1, 1: 1, 2: 1}, {1: 2, 3: 1}], [{}, {5: 0}]],
+    ids=["-1", "0 and -1", "3", "3 in a long row", "3 with a zero entry"],
+)
+def test_nullspace_refuses_a_column_outside_the_range(rows):
+    """A negative column would wrap around to a column from the end and be
+    solved silently; one past the end would fail inside the presolve."""
+    with pytest.raises(ValueError):
+        linalg.nullspace(rows, 3)
+
+
+@pytest.mark.parametrize(
     "bad",
     [0.5, 1.5, 2.0, Decimal("0.5"), 1e-400, Fraction(1, 2), Fraction(2, 1), True, False],
     ids=repr,

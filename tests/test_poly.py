@@ -117,6 +117,29 @@ def test_from_pairs_refuses_a_variable_outside_1_to_26(index):
         poly.from_pairs([(2, (1, 2)), (1, (3, index))])
 
 
+# Variable indices that are not exactly an int, each in range by value.
+NON_INT_INDICES = [True, 1.0, 1.5, Fraction(1, 1), Decimal("1")]
+
+
+@pytest.mark.parametrize("bad", NON_INT_INDICES, ids=repr)
+def test_variable_indices_must_be_ints(bad):
+    """A bool or a whole float equals a valid index but is refused, as an
+    exponent entry is: True would otherwise build x1, and a float cell
+    would fail only later, in apply."""
+    with pytest.raises(TypeError):
+        Polynomial.variable(bad)
+    with pytest.raises(TypeError):
+        poly.from_pairs([(1, (bad,))])
+    with pytest.raises(TypeError):
+        Derivation.from_terms([(bad, 2, 1)])
+    with pytest.raises(TypeError):
+        Derivation.from_terms([(2, bad, 1)])
+    with pytest.raises(TypeError):
+        Derivation([(bad, 1, 1)])
+    with pytest.raises(TypeError):
+        Derivation([(0, bad, 1)])
+
+
 @pytest.mark.parametrize("bad", INEXACT, ids=repr)
 def test_from_pairs_refuses_inexact_coefficients(bad):
     with pytest.raises(TypeError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f4poly import algebra, dimensions, poly, representation as rep
+from f4poly import algebra, dimensions, errata, poly, representation as rep
 from f4poly.poly import Derivation, Polynomial
 from helpers import (
     dense_matrix,
@@ -32,9 +32,9 @@ def test_operator_labels():
 
 
 def test_transcribed_operator_examples():
-    assert rep.transcribed_operator(("e", A2, 1)).apply(X(4)) == X(3)
-    assert rep.transcribed_operator(("e", A1, -1)).apply(X(4)) == -X(6)
-    assert rep.transcribed_operator(("h", 1)).apply(X(6)) == -X(6)
+    assert errata.transcribed_operator(("e", A2, 1)).apply(X(4)) == X(3)
+    assert errata.transcribed_operator(("e", A1, -1)).apply(X(4)) == -X(6)
+    assert errata.transcribed_operator(("h", 1)).apply(X(6)) == -X(6)
 
 
 def test_operators_preserve_degree_and_cartans_are_diagonal():
@@ -70,7 +70,7 @@ def test_cached_quadratic_copy_is_immutable():
     for method in ("clear", "pop", "popitem", "update", "setdefault"):
         assert not hasattr(f.terms, method)
     assert rep.zeta(1).terms == before
-    assert rep.theta() == rep.theta_printed()
+    assert rep.theta() == errata.theta_printed()
 
 
 def test_cached_quadratic_copy_cannot_be_rebound():
@@ -82,7 +82,7 @@ def test_cached_quadratic_copy_cannot_be_rebound():
         del f.terms
     assert rep.zeta(1) is f
     assert f.terms == before
-    assert rep.theta() == rep.theta_printed()
+    assert rep.theta() == errata.theta_printed()
     # Polynomials built from the cached one are read-only too.
     g = 2 * f
     with pytest.raises(AttributeError):
@@ -112,20 +112,20 @@ def test_harmonic_bound_builds_the_cubic_invariant_at_most_once():
 
 
 def test_cached_errata_records_are_read_only():
-    record = rep.validate_table()[0]
+    record = errata.validate_table()[0]
     with pytest.raises(AttributeError):
         record.oracle = "0"
     with pytest.raises(TypeError):
         record[4] = "0"
     with pytest.raises(TypeError):
         del record[0]
-    assert rep.validate_table()[0].oracle == "-1"
+    assert errata.validate_table()[0].oracle == "-1"
 
 
 def test_errata_records_are_named_tuples_in_table_order():
-    records = rep.validate_table()
+    records = errata.validate_table()
     assert type(records) is tuple and len(records) == 4
-    assert all(type(record) is rep.TableErratum for record in records)
+    assert all(type(record) is errata.TableErratum for record in records)
     position = {rep.label_string(label): k for k, label in enumerate(rep.operator_labels())}
     keys = [(position[record.label], record.row, record.col) for record in records]
     assert keys == sorted(set(keys))
@@ -149,36 +149,36 @@ def _dense_errata(transcribed):
 def test_errata_match_the_dense_diff_with_planted_operators(monkeypatch):
     """Two operators transcribed as zero put all 18 and 12 of their oracle
     cells among the errata, in the order of the dense diff."""
-    printed = rep.transcribed_operator
+    printed = errata.transcribed_operator
     planted = {("h", 3), ("e", (1, 2, 3, 1), 1)}
 
     def transcribed(label):
         return Derivation() if label in planted else printed(label)
 
-    monkeypatch.setattr(rep, "transcribed_operator", transcribed)
-    rep.validate_table.cache_clear()
+    monkeypatch.setattr(errata, "transcribed_operator", transcribed)
+    errata.validate_table.cache_clear()
     try:
-        records = rep.validate_table()
+        records = errata.validate_table()
     finally:
-        rep.validate_table.cache_clear()
+        errata.validate_table.cache_clear()
     assert len(records) == 4 + 18 + 12
     assert records == _dense_errata(transcribed)
 
 
 def test_every_other_operator_matches_oracle():
-    flagged = {r.label for r in rep.validate_table()}
+    flagged = {r.label for r in errata.validate_table()}
     for label in rep.operator_labels():
         if rep.label_string(label) in flagged:
             continue
-        assert rep.transcribed_operator(label) == rep.operator(label)
+        assert errata.transcribed_operator(label) == rep.operator(label)
 
 
 def test_simple_pair_commutators_equal_minus_cartan():
     for i, root in enumerate(algebra.F4_SIMPLE, start=1):
-        raising = rep.transcribed_operator(("e", root, 1))
-        lowering = rep.transcribed_operator(("e", root, -1))
+        raising = errata.transcribed_operator(("e", root, 1))
+        lowering = errata.transcribed_operator(("e", root, -1))
         comm = raising.commutator(lowering)
-        cartan = rep.transcribed_operator(("h", i))
+        cartan = errata.transcribed_operator(("h", i))
         assert operator_cells(comm) == tuple((r, s, -c) for r, s, c in operator_cells(cartan))
 
 
@@ -187,8 +187,8 @@ def test_lowering_operators_are_mirror_conjugates():
         raising = rep.operator(("e", root, 1))
         lowering = rep.operator(("e", root, -1))
         assert poly.dual_op(raising) == lowering
-    for printed, root in zip(rep.LOWERING_SIMPLE_TERMS, algebra.F4_SIMPLE):
-        assert Derivation.from_terms(printed) == rep.transcribed_operator(("e", root, -1))
+    for printed, root in zip(errata.LOWERING_SIMPLE_TERMS, algebra.F4_SIMPLE):
+        assert Derivation.from_terms(printed) == errata.transcribed_operator(("e", root, -1))
 
 
 def test_zeta_seed_and_recursion():
@@ -233,14 +233,14 @@ def test_invariants_annihilated_by_all_operators():
 
 
 def test_printed_cubic_expansion_is_not_invariant():
-    printed = rep.eta2_printed()
+    printed = errata.eta2_printed()
     assert rep.eta2() != printed
     lower3 = rep.operator(("e", A3, -1))
     assert not lower3.apply(printed).is_zero()
 
 
 def test_elimination_identities():
-    checks = {c.name: c for c in rep.verify_elimination_identities()}
+    checks = {c.name: c for c in errata.verify_elimination_identities()}
     assert len(checks) == 10
     verbatim = {name for name, c in checks.items() if c.holds}
     assert verbatim == {
@@ -265,14 +265,14 @@ def test_elimination_correction_is_checked(monkeypatch):
     """A wrong head breaks the sign-slipped identity in both readings."""
     exact = rep.zeta
     monkeypatch.setattr(rep, "zeta", lambda r: exact(r) + X(1) ** 2 if r == 8 else exact(r))
-    checks = {c.name: c for c in rep.verify_elimination_identities()}
+    checks = {c.name: c for c in errata.verify_elimination_identities()}
     assert not checks["3*x1*x23"].holds
     assert not checks["3*x1*x23"].holds_with_correction
     assert checks["long elimination of x25/x26"].holds_with_correction
 
 
 def test_formula_errata_labels():
-    labels = [r["label"] for r in rep.formula_errata()]
+    labels = [r["label"] for r in errata.formula_errata()]
     assert labels.count("cubic invariant expansion") == 1
     assert labels.count("invariant second-order operator") == 1
     mirror = [l for l in labels if l.endswith("mirror rule")]
@@ -391,13 +391,13 @@ def test_apply_laplacian_matches_second_partials(f):
 
 
 def test_laplacian_printed_block_differs_and_fails():
-    assert rep.laplacian() != rep.laplacian_printed()
-    printed_terms = dict(((a, b), c) for a, b, c in rep.laplacian_printed())
+    assert rep.laplacian() != errata.laplacian_printed()
+    printed_terms = dict(((a, b), c) for a, b, c in errata.laplacian_printed())
     derived_terms = dict(((a, b), c) for a, b, c in rep.laplacian())
     assert printed_terms[(13, 14)] == -1
     assert derived_terms[(13, 14)] == 3
     product = rep.zeta(1) * rep.theta()
-    assert not reference_laplacian(rep.laplacian_printed(), product).is_zero()
+    assert not reference_laplacian(errata.laplacian_printed(), product).is_zero()
     assert rep.apply_laplacian(product).is_zero()
 
 
