@@ -232,11 +232,14 @@ def _coroot_cell(coeffs: Sequence[int]) -> Cell:
 
 
 def f4_cartan(i: int) -> Cell:
-    """The i-th diagonal generator of the folded subalgebra (i in 1..4).
+    """The i-th diagonal generator of the folded subalgebra (i in 1..4,
+    exactly an int).
 
     The fiber of a simple folded root consists of simple roots alpha_j, and
     the generator is the sum of their coroots h_j.
     """
+    if type(i) is not int:
+        raise TypeError(f"diagonal generator index must be an int, got {i!r}")
     if not 1 <= i <= 4:
         raise ValueError(f"diagonal generator index must be in 1..4, got {i}")
     fiber = f4_fiber(F4_SIMPLE[i - 1])
@@ -261,9 +264,13 @@ _V_SEED: Tuple[Vector, ...] = (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def v_basis(i: int) -> Cell:
-    """The i-th basis element (1..26) of the 26-dimensional module."""
+    """The i-th basis element (1..26, exactly an int) of the 26-dimensional
+    module; the cache is typed, so a float or bool index reaches the type
+    check even after its int twin is cached."""
+    if type(i) is not int:
+        raise TypeError(f"module basis index must be an int, got {i!r}")
     if not 1 <= i <= 26:
         raise ValueError(f"module basis index must be in 1..26, got {i}")
     if i == 13:

@@ -4,6 +4,8 @@ Everything here works in the simple-root basis of F4 in the integral
 normalization: short roots have squared length 2 and long roots 4, so the
 Gram matrix is the symmetrized Cartan matrix.  The metric, the Weyl formula
 and the series are all integer arithmetic, with no floating point anywhere.
+The one reflection closure, ``reflection_closure``, takes any Gram matrix: it
+gives F4's roots here and E6's in ``lattice``.
 """
 
 from __future__ import annotations
@@ -38,34 +40,40 @@ def norm(root: Sequence[int]) -> int:
     return inner(root, root)
 
 
-def _reflect(root: Root4, i: int) -> Root4:
-    """Reflection of a root in the hyperplane of the i-th simple root."""
-    simple = tuple(1 if j == i else 0 for j in range(4))
-    coeff, remainder = divmod(2 * inner(root, simple), GRAM4[i][i])
-    if remainder:
-        raise ArithmeticError("reflection produced a non-integral coordinate")
-    out = list(root)
-    out[i] -= coeff
-    return tuple(out)
+def reflection_closure(gram: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Every root of the system with this Gram matrix, sorted: the unit simple
+    roots closed under the simple reflections.  The i-th reflection changes
+    only coordinate i, by 2(v, alpha_i)/(alpha_i, alpha_i); a non-integral
+    step raises ArithmeticError, and so does a closure too large to be finite.
+    The negatives come from s_i(alpha_i) = -alpha_i."""
+    rank = len(gram)
+    # A finite system has rank * (Coxeter number) roots, and no Coxeter number
+    # exceeds max(2 * rank, 30) (B_r and C_r have 2r, E8 has 30).
+    bound = rank * max(2 * rank, 30)
+    seen = {tuple(int(j == i) for j in range(rank)) for i in range(rank)}
+    frontier = list(seen)
+    while frontier:
+        root = frontier.pop()
+        for i, row in enumerate(gram):
+            step, remainder = divmod(2 * sum(g * c for g, c in zip(row, root)), row[i])
+            if remainder:
+                raise ArithmeticError("reflection produced a non-integral coordinate")
+            image = root[:i] + (root[i] - step,) + root[i + 1:]
+            if image not in seen:
+                if len(seen) == bound:
+                    raise ArithmeticError("the Gram matrix is not of finite type")
+                seen.add(image)
+                frontier.append(image)
+    return tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)
 def positive_roots() -> Tuple[Root4, ...]:
-    """All 24 positive roots, generated by reflection closure from the simples."""
-    simples = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        root = frontier.pop()
-        for i in range(4):
-            image = _reflect(root, i)
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    positives = sorted(r for r in seen if all(c >= 0 for c in r) and any(r))
+    """All 24 positive roots: the roots with no negative coefficient."""
+    positives = tuple(r for r in reflection_closure(GRAM4) if min(r) >= 0)
     if len(positives) != 24:
         raise ArithmeticError(f"expected 24 positive roots, found {len(positives)}")
-    return tuple(positives)
+    return positives  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=None)

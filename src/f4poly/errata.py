@@ -135,6 +135,8 @@ def transcribed_operator(label: representation.OperatorLabel) -> Derivation:
     """
     if label[0] == "h":
         i = label[1]
+        if type(i) is not int:
+            raise TypeError(f"diagonal operator index must be an int, got {i!r}")
         if not 1 <= i <= 4:
             raise ValueError(f"diagonal operator index must be in 1..4, got {i}")
         return Derivation.from_terms((r, r, c) for r, c in CARTAN_TERMS[i - 1])
@@ -215,7 +217,9 @@ _PRINTED_ZETA: Dict[int, Tuple[Tuple[int, Tuple[int, int]], ...]] = {
 
 
 def zeta_printed(r: int) -> Polynomial:
-    """Printed expansion of the r-th quadratic copy (r in 1..14)."""
+    """Printed expansion of the r-th quadratic copy (r in 1..14, exactly an int)."""
+    if type(r) is not int:
+        raise TypeError(f"index must be an int, got {r!r}")
     if r not in _PRINTED_ZETA:
         raise ValueError(f"printed expansion exists only for 1..14, got {r}")
     return poly.from_pairs(_PRINTED_ZETA[r])

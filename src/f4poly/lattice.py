@@ -43,7 +43,9 @@ COCYCLE_FORM: tuple[Vector, ...] = (
 
 
 def simple_root(i: int) -> Vector:
-    """Return the i-th simple root, i in 1..6."""
+    """Return the i-th simple root, i in 1..6 (exactly an int)."""
+    if type(i) is not int:
+        raise TypeError(f"simple root index must be an int, got {i!r}")
     if not 1 <= i <= 6:
         raise ValueError(f"simple root index out of range: {i}")
     return tuple(int(j == i - 1) for j in range(6))  # type: ignore[return-value]
@@ -103,37 +105,17 @@ def root_set() -> frozenset[Vector]:
 
 
 def positive_roots() -> tuple[Vector, ...]:
-    """The 36 roots whose first nonzero coefficient is positive."""
-    pos = []
-    for v in all_roots():
-        for c in v:
-            if c:
-                if c > 0:
-                    pos.append(v)
-                break
-    return tuple(pos)
-
-
-def reflect(v: Vector, root: Vector) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to a (norm-2) root."""
-    c = inner(v, root)
-    return tuple(v[i] - c * root[i] for i in range(6))  # type: ignore[return-value]
+    """The 36 roots with no negative coefficient."""
+    return tuple(v for v in all_roots() if min(v) >= 0)
 
 
 def roots_by_reflection_closure() -> tuple[Vector, ...]:
-    """Independent root enumeration: close the simple roots under simple reflections."""
-    simples = [simple_root(i) for i in range(1, 7)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        v = frontier.pop()
-        for s in simples:
-            w = reflect(v, s)
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    seen.update(neg(v) for v in tuple(seen))
-    return tuple(sorted(seen))
+    """The roots again, closed from the simple roots under the simple
+    reflections: the independent cross-check of the box scan in all_roots."""
+    # Imported here, so that commands that only read the roots do not compile dimensions.
+    from .dimensions import reflection_closure
+
+    return reflection_closure(GRAM)  # type: ignore[return-value]
 
 
 def diagram_involution(v: Vector) -> Vector:

@@ -97,12 +97,16 @@ _ZETA_RULES: Dict[int, Tuple[int, int, int]] = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zeta(r: int) -> Polynomial:
-    """The r-th member (1..26) of the quadratic copy of the module basis.
+    """The r-th member (1..26, exactly an int) of the quadratic copy of the
+    module basis.
 
-    The polynomial is cached and shared.
+    The polynomial is cached and shared; the cache is typed, so a float or
+    bool index reaches the type check even after its int twin is cached.
     """
+    if type(r) is not int:
+        raise TypeError(f"index must be an int, got {r!r}")
     if not 1 <= r <= 26:
         raise ValueError(f"index must be in 1..26, got {r}")
     if r == 1:

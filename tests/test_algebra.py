@@ -264,6 +264,20 @@ def test_cached_module_basis_is_immutable():
     assert (3, 3, 1) in algebra.ad_on_v(algebra.f4_cartan(1))
 
 
+@pytest.mark.parametrize("index", [1.5, 2.0, True])
+def test_module_indices_must_be_ints(index):
+    # the int twin is cached first: the refusal must not depend on the cache
+    algebra.v_basis(int(index))
+    with pytest.raises(TypeError, match="must be an int"):
+        algebra.v_basis(index)
+    with pytest.raises(TypeError, match="must be an int"):
+        algebra.f4_cartan(index)
+    with pytest.raises(ValueError):
+        algebra.v_basis(27)
+    with pytest.raises(ValueError):
+        algebra.f4_cartan(0)
+
+
 def test_cached_module_basis_cannot_be_rebound():
     element = algebra.v_basis(4)
     before = tuple(element)

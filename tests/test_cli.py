@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import hashlib
 import json
@@ -91,6 +92,30 @@ def test_dimension_output_is_pinned(tmp_path, capsys, argv, out_sha, json_sha):
     """SHA-256 of stdout and --json of the commands built on ``weyl_dim``."""
     path = tmp_path / "out.json"
     assert cli.main(["--json", str(path), *argv]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == out_sha
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+
+
+@pytest.mark.parametrize(
+    "what, out_sha, json_sha",
+    [
+        (
+            "roots",
+            "b96ee6ed44e82bda3e5393c7c8d7ad210e65216cde01701a4f18a090a5fef196",
+            "bc681cf6dce26359375e37b330f4956a3021bb01f144b2251b827a5c3fa3a3b5",
+        ),
+        (
+            "structure",
+            "868d2eba9a06621e75cd329a8200ae34d2ff1f643e6f5a793c124c5ca3b674aa",
+            "8e4bbf072a0d6a0dc89295a5e6bd8364081539584538c4ce87656537c40f262a",
+        ),
+    ],
+)
+def test_export_output_is_pinned(tmp_path, capsys, what, out_sha, json_sha):
+    """SHA-256 of stdout and --json of ``export roots`` and ``export structure``."""
+    path = tmp_path / "out.json"
+    assert cli.main(["--json", str(path), "export", what]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == out_sha
     assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
@@ -194,6 +219,22 @@ def test_each_command_imports_only_what_it_runs(statement, loaded):
     )
     assert (result.returncode, result.stderr) == (0, "")
     assert set(result.stdout.split()) == loaded
+
+
+def test_package_imports_only_the_standard_library():
+    """Every absolute import in ``src/f4poly``, at module level or inside a
+    function, names a standard-library module; the package's own modules are
+    imported relatively."""
+    for path in sorted((SRC / "f4poly").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 def test_package_imports_submodules_on_first_use():

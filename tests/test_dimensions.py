@@ -51,6 +51,35 @@ def test_positive_roots_count_and_norms():
         assert dim.norm(root) in (2, 4)
 
 
+@pytest.mark.parametrize(
+    "gram, count",
+    [
+        (((2, -1), (-1, 2)), 6),
+        (((2, -2), (-2, 4)), 8),
+        (((2, -3), (-3, 6)), 12),
+        (dim.GRAM4, 48),
+    ],
+    ids=["A2", "B2", "G2", "F4"],
+)
+def test_reflection_closure_counts_the_roots(gram, count):
+    roots = dim.reflection_closure(gram)
+    assert len(roots) == len(set(roots)) == count
+    assert list(roots) == sorted(roots)
+    assert all(tuple(-c for c in root) in roots for root in roots)
+
+
+def test_reflection_closure_refuses_a_non_integral_reflection():
+    # 2(alpha_1, alpha_2)/(alpha_2, alpha_2) = -2/3: no crystallographic root system
+    with pytest.raises(ArithmeticError):
+        dim.reflection_closure(((2, -1), (-1, 3)))
+
+
+def test_reflection_closure_refuses_an_infinite_system():
+    # affine A1: the two reflections generate an infinite group
+    with pytest.raises(ArithmeticError, match="not of finite type"):
+        dim.reflection_closure(((2, -2), (-2, 2)))
+
+
 def test_positive_roots_match_folded_algebra():
     assert set(dim.positive_roots()) == set(algebra.F4_POSITIVE)
 

@@ -1,5 +1,6 @@
 """Tests for the rank-6 root lattice, diagram involution, and sign cocycle."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,12 @@ def test_simple_roots():
         pass
     else:
         assert False, "expected ValueError"
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True])
+def test_simple_root_index_must_be_an_int(index):
+    with pytest.raises(TypeError, match="must be an int"):
+        lattice.simple_root(index)
 
 
 def test_root_count_and_norms():

@@ -199,6 +199,24 @@ def test_zeta_seed_and_recursion():
     assert lower4.apply(rep.zeta(1)) == rep.zeta(2)
 
 
+@pytest.mark.parametrize("index", [1.5, 2.0, 20.0, True])
+def test_quadratic_copy_indices_must_be_ints(index):
+    # the int twin is cached first: the refusal must not depend on the cache
+    rep.zeta(int(index))
+    with pytest.raises(TypeError, match="must be an int"):
+        rep.zeta(index)
+    with pytest.raises(TypeError, match="must be an int"):
+        errata.zeta_printed(index)
+    with pytest.raises(TypeError, match="must be an int"):
+        errata.transcribed_operator(("h", index))
+    with pytest.raises(ValueError):
+        rep.zeta(27)
+    with pytest.raises(ValueError):
+        errata.zeta_printed(15)
+    with pytest.raises(ValueError):
+        errata.transcribed_operator(("h", 5))
+
+
 def test_zeta_mirror_rule_needs_the_sign_flip():
     for r in range(15, 27):
         mirrored = poly.dual(rep.zeta(27 - r))
