@@ -217,10 +217,27 @@ def f4_fiber(root: F4Root) -> Tuple[Vector, ...]:
     return fiber
 
 
+def check_f4_label(label: Tuple) -> None:
+    """Check a folded generator label: ('h', i) with i exactly an int in 1..4,
+    or ('e', root4, sign) with sign exactly the int 1 or -1.  TypeError for a
+    label, index or sign of the wrong type, ValueError otherwise."""
+    if type(label) is not tuple:
+        raise TypeError(f"generator label must be a tuple, got {label!r}")
+    if label[:1] == ("h",) and len(label) == 2:
+        value, allowed = label[1], range(1, 5)
+    elif label[:1] == ("e",) and len(label) == 3:
+        value, allowed = label[2], (1, -1)
+    else:
+        raise ValueError(f"unknown generator label {label!r}")
+    if type(value) is not int:
+        raise TypeError(f"the index or sign of {label!r} must be an int")
+    if value not in allowed:
+        raise ValueError(f"the index or sign of {label!r} is out of range")
+
+
 def f4_root_vector(root: Sequence[int], sign: int = 1) -> Cell:
     """Folded generator for +-(positive root): sum of root vectors over the fiber."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    check_f4_label(("e", root, sign))
     index = label_index()
     fiber = f4_fiber(tuple(root))
     return _cell({index[("e", beta if sign == 1 else lattice.neg(beta))]: 1 for beta in fiber})
@@ -238,10 +255,7 @@ def f4_cartan(i: int) -> Cell:
     The fiber of a simple folded root consists of simple roots alpha_j, and
     the generator is the sum of their coroots h_j.
     """
-    if type(i) is not int:
-        raise TypeError(f"diagonal generator index must be an int, got {i!r}")
-    if not 1 <= i <= 4:
-        raise ValueError(f"diagonal generator index must be in 1..4, got {i}")
+    check_f4_label(("h", i))
     fiber = f4_fiber(F4_SIMPLE[i - 1])
     return _coroot_cell([sum(column) for column in zip(*fiber)])
 
@@ -327,8 +341,7 @@ def ad_on_v(element: Cell) -> Tuple[Tuple[int, int, int], ...]:
 
 def f4_generator(label: Tuple) -> Cell:
     """Folded generator by label: ('h', i) or ('e', root4, sign)."""
+    check_f4_label(label)
     if label[0] == "h":
         return f4_cartan(label[1])
-    if label[0] == "e":
-        return f4_root_vector(label[1], label[2])
-    raise ValueError(f"unknown generator label {label!r}")
+    return f4_root_vector(label[1], label[2])

@@ -79,14 +79,13 @@ def _cmd_singular(args: argparse.Namespace) -> Result:
     from . import poly, representation
 
     report = representation.singular_vectors(args.degree)
-    entries = sorted(report.entries, key=lambda entry: entry.weight, reverse=True)
     # The span check pins each weight's dimension to its count of generator
     # products, so it also decides the total against the prediction.
     ok = representation.products_span_kernels(report)
     lines = [
         f"degree {args.degree}: {report.total} singular dimensions (predicted {report.predicted})"
     ]
-    for entry in entries:
+    for entry in report.entries:
         weight = ",".join(str(c) for c in entry.weight)
         lines.append(f"  weight ({weight}): dim {entry.dim}")
     lines.append(f"generator products span the kernels: {_mark(ok)}")
@@ -100,7 +99,7 @@ def _cmd_singular(args: argparse.Namespace) -> Result:
                 "dim": entry.dim,
                 "basis": [poly.poly_to_json(vector) for vector in entry.basis],
             }
-            for entry in entries
+            for entry in report.entries
         ],
     }
     return (0 if ok else 1), lines, payload

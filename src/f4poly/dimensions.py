@@ -101,9 +101,14 @@ def _coroot_forms() -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
     return tuple(forms), math.prod(c for _, _, c in forms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def weyl_dim(k: int, l: int) -> int:
-    """Dimension of the irreducible module with highest weight k*w3 + l*w4."""
+    """Dimension of the irreducible module with highest weight k*w3 + l*w4, k
+    and l exactly nonnegative ints (the cache is typed, so True is not 1)."""
+    if type(k) is not int or type(l) is not int:
+        raise TypeError(f"weight labels must be ints, got {k!r}, {l!r}")
+    if k < 0 or l < 0:
+        raise ValueError(f"weight labels must be nonnegative, got {k}, {l}")
     forms, denominator = _coroot_forms()
     numerator = math.prod(a * k + b * l + c for a, b, c in forms)
     quotient, remainder = divmod(numerator, denominator)

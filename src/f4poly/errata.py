@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from . import poly, representation
+from . import algebra, poly, representation
 from .algebra import F4Root
 from .poly import Derivation, Polynomial
 
@@ -133,22 +133,14 @@ def transcribed_operator(label: representation.OperatorLabel) -> Derivation:
     Kept as an independent cross-check of ``oracle_operator``: downstream code
     never uses it, and ``validate_table`` reports where the two differ.
     """
+    algebra.check_f4_label(label)
     if label[0] == "h":
-        i = label[1]
-        if type(i) is not int:
-            raise TypeError(f"diagonal operator index must be an int, got {i!r}")
-        if not 1 <= i <= 4:
-            raise ValueError(f"diagonal operator index must be in 1..4, got {i}")
-        return Derivation.from_terms((r, r, c) for r, c in CARTAN_TERMS[i - 1])
-    if label[0] == "e":
-        root, sign = tuple(label[1]), label[2]
-        if root not in RAISING_TERMS:
-            raise ValueError(f"{root} is not a positive root of the folded system")
-        if sign == 1:
-            return Derivation.from_terms(RAISING_TERMS[root])
-        if sign == -1:
-            return poly.dual_op(Derivation.from_terms(RAISING_TERMS[root]))
-    raise ValueError(f"unknown operator label {label!r}")
+        return Derivation.from_terms((r, r, c) for r, c in CARTAN_TERMS[label[1] - 1])
+    root = tuple(label[1])
+    if root not in RAISING_TERMS:
+        raise ValueError(f"{root} is not a positive root of the folded system")
+    raising = Derivation.from_terms(RAISING_TERMS[root])
+    return raising if label[2] == 1 else poly.dual_op(raising)
 
 
 class TableErratum(NamedTuple):

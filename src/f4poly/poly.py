@@ -203,6 +203,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Polynomial":
+        if type(power) is not int:
+            raise TypeError(f"power must be an int, got {power!r}")
         if power < 0:
             raise ValueError("negative powers are not supported")
         result = Polynomial.constant(1)

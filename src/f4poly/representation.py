@@ -4,10 +4,11 @@ the cubic singular vector theta, the singular vectors of each degree, and the
 invariant Laplacian with its harmonic witnesses.
 
 Of the paper as printed, the construction takes two pieces as given, defined
-here: zeta(1)'s expansion (``ZETA1_TERMS``), the seed of the lowering chain,
-and the Laplacian's paired block (``LAPLACIAN_PAIRED``).  The printed tables
-and formulas checked against the construction are kept apart, in a module
-that imports this one; nothing here reads them.
+here: zeta(1)'s expansion (``ZETA1_TERMS``) and the Laplacian's paired block
+(``LAPLACIAN_PAIRED``).  zeta(2..26) close from zeta(1) under the simple
+lowering operators, and eta2 is eta1's polar form at (zeta(x), x).  The
+printed tables and formulas checked against the construction are kept apart,
+in a module that imports this one; nothing here reads them.
 """
 
 from __future__ import annotations
@@ -64,64 +65,50 @@ def root_operators() -> List[Derivation]:
 # --------------------------------------------------------------------------
 
 
+# eta1 as (i, j, c) terms, c * x_i * x_j: the invariant pairing, which eta2
+# polarizes against the quadratic copy.
+_ETA1_TERMS = (*((r, 27 - r, 3) for r in range(1, 13)), (13, 13, -1), (13, 14, -1), (14, 14, -1))
+
+
 @lru_cache(maxsize=None)
 def eta1() -> Polynomial:
     """The quadratic invariant; cached and shared."""
-    total = Polynomial.zero()
-    for r in range(1, 13):
-        total = total + 3 * X(r) * X(27 - r)
-    return total - X(13) ** 2 - X(13) * X(14) - X(14) ** 2
+    return poly.from_pairs((c, (i, j)) for i, j, c in _ETA1_TERMS)
 
 
 # zeta(1) as printed, as (coefficient, variable-index pair) terms: the seed of
-# the lowering chain, and the one printed formula the construction takes as given.
+# the quadratic copy, and the one printed formula the construction takes as given.
 ZETA1_TERMS: Tuple[Tuple[int, Tuple[int, int]], ...] = (
     (2, (1, 13)), (1, (1, 14)), (-3, (2, 12)), (-3, (3, 10)), (3, (4, 8)), (-3, (5, 6)),
 )
 
-# Lowering recursion: index r -> (simple generator index, source index, scalar).
-_ZETA_RULES: Dict[int, Tuple[int, int, int]] = {
-    2: (4, 1, 1),
-    3: (3, 2, 1),
-    4: (2, 3, -1),
-    5: (3, 4, 1),
-    6: (1, 4, -1),
-    7: (4, 5, 1),
-    8: (1, 5, -1),
-    9: (1, 7, -1),
-    10: (2, 8, -1),
-    11: (2, 9, -1),
-    12: (3, 10, -1),
-    13: (4, 12, 1),
-    14: (3, 11, 1),
-}
+
+@lru_cache(maxsize=None)
+def _quadratic_copy() -> Tuple[Polynomial, ...]:
+    """zeta(1..26), closed from zeta(1) under the simple lowering operators:
+    x_i -> zeta(i) intertwines every operator (``verify`` checks the eight
+    simple ones), so where column s of one holds exactly one cell (r, k) with
+    k = +-1, zeta(r) = k * op(zeta(s))."""
+    lowering = [operator(("e", root, -1)) for root in algebra.F4_SIMPLE]
+    columns = [dict(op.columns) for op in lowering]
+    copy = {0: poly.from_pairs(ZETA1_TERMS)}
+    reached = [0]
+    for s in reached:
+        for op, column in zip(lowering, columns):
+            cells = column.get(s, ())
+            if len(cells) == 1 and cells[0][0] not in copy and cells[0][1] in (1, -1):
+                ((r, k),) = cells
+                copy[r] = k * op(copy[s])
+                reached.append(r)
+    if len(copy) != poly.NVARS:
+        raise ArithmeticError(f"the lowering operators reach {len(copy)} of {poly.NVARS} members")
+    return tuple(copy[r] for r in range(poly.NVARS))
 
 
-@lru_cache(maxsize=None, typed=True)
 def zeta(r: int) -> Polynomial:
     """The r-th member (1..26, exactly an int) of the quadratic copy of the
-    module basis.
-
-    The polynomial is cached and shared; the cache is typed, so a float or
-    bool index reaches the type check even after its int twin is cached.
-    """
-    if type(r) is not int:
-        raise TypeError(f"index must be an int, got {r!r}")
-    if not 1 <= r <= 26:
-        raise ValueError(f"index must be in 1..26, got {r}")
-    if r == 1:
-        f = poly.from_pairs(ZETA1_TERMS)
-    elif r <= 14:
-        gen_index, source, scalar = _ZETA_RULES[r]
-        lower = operator(("e", algebra.F4_SIMPLE[gen_index - 1], -1))
-        f = scalar * lower(zeta(source))
-    else:
-        # The mirror rule needs a global minus sign on the lower half: only
-        # then does x_i -> zeta(i) intertwine every operator (the bare mirror
-        # breaks the copy at indices 13..16 and destroys invariance of the
-        # cubic form).
-        f = -poly.dual(zeta(27 - r))
-    return f
+    module basis; cached and shared."""
+    return _quadratic_copy()[poly._as_variable(r) - 1]
 
 
 @lru_cache(maxsize=None)
@@ -138,29 +125,24 @@ def theta() -> Polynomial:
 
 @lru_cache(maxsize=None)
 def eta2() -> Polynomial:
-    """The cubic invariant from the invariant pairing; cached and shared."""
+    """The cubic invariant, eta1's polar form at (zeta(x), x); cached and shared."""
     total = Polynomial.zero()
-    for r in range(1, 13):
-        total = total + 3 * (zeta(r) * X(27 - r) + X(r) * zeta(27 - r))
-    total = total - 2 * X(13) * zeta(13) - X(13) * zeta(14) - X(14) * zeta(13) - 2 * X(14) * zeta(14)
+    for i, j, c in _ETA1_TERMS:
+        total = total + c * (zeta(i) * X(j) + X(i) * zeta(j))
     return total
 
 
 def module_copy_equivariance_failures() -> List[Tuple[str, int]]:
     """(operator, index) pairs where the quadratic copy fails to intertwine."""
     failures: List[Tuple[str, int]] = []
-    zetas = [zeta(r) for r in range(1, 27)]
-    for root in algebra.F4_SIMPLE:
-        for sign in (1, -1):
-            label = ("e", root, sign)
-            op = operator(label)
-            columns = dict(op.columns)
-            for s in range(26):
-                expected = Polynomial.zero()
-                for r, c in columns.get(s, ()):
-                    expected = expected + c * zetas[r]
-                if op(zetas[s]) != expected:
-                    failures.append((label_string(label), s + 1))
+    zetas = _quadratic_copy()
+    for label in (("e", root, sign) for root in algebra.F4_SIMPLE for sign in (1, -1)):
+        op = operator(label)
+        columns = dict(op.columns)
+        for s in range(26):
+            expected = sum((c * zetas[r] for r, c in columns.get(s, ())), Polynomial.zero())
+            if op(zetas[s]) != expected:
+                failures.append((label_string(label), s + 1))
     return failures
 
 
@@ -176,6 +158,8 @@ class SingularEntry(NamedTuple):
 
 
 class SingularReport(NamedTuple):
+    """One degree's singular vectors; entries come in degree_weight_table's descending order."""
+
     degree: int
     predicted: int
     entries: Tuple[SingularEntry, ...]

@@ -117,6 +117,26 @@ def test_adjoint_and_second_fundamental_dimensions():
     assert fraction_weyl_dim(FUNDAMENTAL_WEIGHTS[1]) == 1274
 
 
+@pytest.mark.parametrize(
+    "k, l, error",
+    [
+        (True, 0, TypeError),
+        (0, False, TypeError),
+        (1.0, 0, TypeError),
+        (0, 2.0, TypeError),
+        (-1, 0, ValueError),
+        (0, -1, ValueError),
+    ],
+    ids=["True", "False", "1.0", "2.0", "k -1", "l -1"],
+)
+def test_weyl_dim_labels_must_be_nonnegative_ints(k, l, error):
+    # the int twin is cached first: the refusal must not depend on the cache
+    if error is TypeError:
+        dim.weyl_dim(int(k), int(l))
+    with pytest.raises(error):
+        dim.weyl_dim(k, l)
+
+
 def test_weyl_dim_matches_fraction_weyl_formula():
     weights = FUNDAMENTAL_WEIGHTS
     for k in range(10):

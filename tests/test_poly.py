@@ -74,8 +74,9 @@ def test_bool_coefficients_are_refused(flag):
         lambda f, b: b - f,
         lambda f, b: f * b,
         lambda f, b: b * f,
+        lambda f, b: f ** b,
     ],
-    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul", "pow"],
 )
 def test_bool_scalars_are_refused(combine, flag):
     """A bool scalar is refused by the arithmetic, as it is by the

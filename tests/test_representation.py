@@ -199,6 +199,34 @@ def test_zeta_seed_and_recursion():
     assert lower4.apply(rep.zeta(1)) == rep.zeta(2)
 
 
+@pytest.mark.parametrize(
+    "label, error",
+    [
+        (("e", A2, True), TypeError),
+        (("e", A2, 1.0), TypeError),
+        (("e", A2, -1.0), TypeError),
+        (("e", A2, 2), ValueError),
+        (("e", A2), ValueError),
+        (("h",), ValueError),
+        (("h", 1, 1), ValueError),
+        ((), ValueError),
+        (("x", 1), ValueError),
+        (["h", 1], TypeError),
+    ],
+    ids=["True", "1.0", "-1.0", "sign 2", "no sign", "no index", "extra entry", "empty", "kind x", "list"],
+)
+def test_operator_labels_are_checked(label, error):
+    """A generator label is checked for shape and its sign for type, in one
+    place that the construction and the transcription both call."""
+    with pytest.raises(error):
+        algebra.f4_generator(label)
+    with pytest.raises(error):
+        errata.transcribed_operator(label)
+    if label[:1] == ("e",) and len(label) == 3:
+        with pytest.raises(error):
+            algebra.f4_root_vector(A2, label[2])
+
+
 @pytest.mark.parametrize("index", [1.5, 2.0, 20.0, True])
 def test_quadratic_copy_indices_must_be_ints(index):
     # the int twin is cached first: the refusal must not depend on the cache
@@ -218,10 +246,31 @@ def test_quadratic_copy_indices_must_be_ints(index):
 
 
 def test_zeta_mirror_rule_needs_the_sign_flip():
-    for r in range(15, 27):
+    """The closure reaches zeta(15..26) through the lowering operators; each is
+    the negated mirror image of zeta(27 - r), so the bare printed rule is off
+    by a sign, and the same holds with the halves swapped."""
+    for r in [*range(1, 13), *range(15, 27)]:
         mirrored = poly.dual(rep.zeta(27 - r))
         assert rep.zeta(r) == -mirrored
         assert rep.zeta(r) != mirrored
+
+
+def test_quadratic_copy_closure_needs_every_simple_lowering_operator(monkeypatch):
+    rep._quadratic_copy.cache_clear()
+    monkeypatch.setattr(algebra, "F4_SIMPLE", algebra.F4_SIMPLE[:3])
+    with pytest.raises(ArithmeticError, match="reach 1 of 26"):
+        rep.zeta(1)
+    monkeypatch.undo()
+    assert rep.module_copy_equivariance_failures() == []
+
+
+def test_cubic_invariant_is_the_polar_form_of_the_quadratic():
+    """eta2 = sum_j zeta(j) * d eta1/dx_j, the derivative of eta1 at x in the
+    direction zeta(x)."""
+    polar = Polynomial.zero()
+    for j in range(1, 27):
+        polar = polar + rep.zeta(j) * partial(rep.eta1(), j)
+    assert rep.eta2() == polar
 
 
 def test_zeta_members_are_a_weight_basis():
