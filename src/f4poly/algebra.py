@@ -219,14 +219,20 @@ def f4_fiber(root: F4Root) -> Tuple[Vector, ...]:
 
 def check_f4_label(label: Tuple) -> None:
     """Check a folded generator label: ('h', i) with i exactly an int in 1..4,
-    or ('e', root4, sign) with sign exactly the int 1 or -1.  TypeError for a
-    label, index or sign of the wrong type, ValueError otherwise."""
+    or ('e', root4, sign) with root4 a tuple of four exact ints in F4_POSITIVE
+    and sign exactly the int 1 or -1.  TypeError for a label, root, index or
+    sign of the wrong type, ValueError otherwise."""
     if type(label) is not tuple:
         raise TypeError(f"generator label must be a tuple, got {label!r}")
     if label[:1] == ("h",) and len(label) == 2:
         value, allowed = label[1], range(1, 5)
     elif label[:1] == ("e",) and len(label) == 3:
         value, allowed = label[2], (1, -1)
+        root = label[1]
+        if type(root) is not tuple or any(type(c) is not int for c in root):
+            raise TypeError(f"the root of {label!r} must be a tuple of ints")
+        if root not in F4_POSITIVE:
+            raise ValueError(f"{root} is not a positive root of the folded system")
     else:
         raise ValueError(f"unknown generator label {label!r}")
     if type(value) is not int:
@@ -235,11 +241,11 @@ def check_f4_label(label: Tuple) -> None:
         raise ValueError(f"the index or sign of {label!r} is out of range")
 
 
-def f4_root_vector(root: Sequence[int], sign: int = 1) -> Cell:
+def f4_root_vector(root: F4Root, sign: int = 1) -> Cell:
     """Folded generator for +-(positive root): sum of root vectors over the fiber."""
     check_f4_label(("e", root, sign))
     index = label_index()
-    fiber = f4_fiber(tuple(root))
+    fiber = f4_fiber(root)
     return _cell({index[("e", beta if sign == 1 else lattice.neg(beta))]: 1 for beta in fiber})
 
 

@@ -1,11 +1,11 @@
-"""F4 metric data, the Weyl dimension formula, and big-integer series identities.
+"""F4 Cartan data, the Weyl dimension formula, and big-integer series identities.
 
-Everything here works in the simple-root basis of F4 in the integral
-normalization: short roots have squared length 2 and long roots 4, so the
-Gram matrix is the symmetrized Cartan matrix.  The metric, the Weyl formula
-and the series are all integer arithmetic, with no floating point anywhere.
-The one reflection closure, ``reflection_closure``, takes any Gram matrix: it
-gives F4's roots here and E6's in ``lattice``.
+Everything here works in the simple-root basis of F4, from its Cartan matrix
+alone: no metric is needed, because the coroots are the roots of the
+transposed Cartan matrix.  The Weyl formula and the series are integer
+arithmetic, with no floating point anywhere.  The one reflection closure,
+``reflection_closure``, takes any Cartan matrix: it gives F4's coroots here
+and E6's roots in ``lattice``.
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ import math
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-Root4 = Tuple[int, int, int, int]
-
-# Gram matrix of the four simple roots: two long (norm 4), two short (norm 2),
-# with the double bond between positions 2 and 3.  Only ratios of its entries
-# reach the results (the Cartan integers 2*G_ij/G_jj and the coroot
-# coefficients), so this scale gives the same dimensions as any other.
-GRAM4: Tuple[Tuple[int, ...], ...] = (
-    (4, -2, 0, 0),
-    (-2, 4, -2, 0),
+# Cartan matrix of F4, row i holding <alpha_j, alpha_i^vee>: alpha_1 and
+# alpha_2 long, alpha_3 and alpha_4 short, with the double bond between
+# positions 2 and 3.
+CARTAN4: Tuple[Tuple[int, ...], ...] = (
+    (2, -1, 0, 0),
+    (-1, 2, -1, 0),
     (0, -2, 2, -1),
     (0, 0, -1, 2),
 )
@@ -31,22 +28,14 @@ PRINTED_CONSTANT = 39_504_568_320_000
 CORRECTED_CONSTANT = 12_070_840_320_000
 
 
-def inner(u: Sequence[int], v: Sequence[int]) -> int:
-    """Bilinear form in simple-root coordinates; exact on any exact entries."""
-    return sum(a * g * b for a, row in zip(u, GRAM4) for g, b in zip(row, v))
-
-
-def norm(root: Sequence[int]) -> int:
-    return inner(root, root)
-
-
-def reflection_closure(gram: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Every root of the system with this Gram matrix, sorted: the unit simple
-    roots closed under the simple reflections.  The i-th reflection changes
-    only coordinate i, by 2(v, alpha_i)/(alpha_i, alpha_i); a non-integral
-    step raises ArithmeticError, and so does a closure too large to be finite.
-    The negatives come from s_i(alpha_i) = -alpha_i."""
-    rank = len(gram)
+def reflection_closure(cartan: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Every root of the system with this Cartan matrix, sorted: the unit
+    simple roots closed under the simple reflections.  Row i of the matrix
+    holds <alpha_j, alpha_i^vee>, so the i-th reflection changes only
+    coordinate i, by the integer sum_j cartan[i][j] v_j; a closure too large
+    to be finite raises ArithmeticError.  The negatives come from
+    s_i(alpha_i) = -alpha_i."""
+    rank = len(cartan)
     # A finite system has rank * (Coxeter number) roots, and no Coxeter number
     # exceeds max(2 * rank, 30) (B_r and C_r have 2r, E8 has 30).
     bound = rank * max(2 * rank, 30)
@@ -54,51 +43,34 @@ def reflection_closure(gram: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], 
     frontier = list(seen)
     while frontier:
         root = frontier.pop()
-        for i, row in enumerate(gram):
-            step, remainder = divmod(2 * sum(g * c for g, c in zip(row, root)), row[i])
-            if remainder:
-                raise ArithmeticError("reflection produced a non-integral coordinate")
-            image = root[:i] + (root[i] - step,) + root[i + 1:]
+        for i, row in enumerate(cartan):
+            image = root[:i] + (root[i] - sum(a * c for a, c in zip(row, root)),) + root[i + 1:]
             if image not in seen:
                 if len(seen) == bound:
-                    raise ArithmeticError("the Gram matrix is not of finite type")
+                    raise ArithmeticError("the Cartan matrix is not of finite type")
                 seen.add(image)
                 frontier.append(image)
     return tuple(sorted(seen))
 
 
 @lru_cache(maxsize=None)
-def positive_roots() -> Tuple[Root4, ...]:
-    """All 24 positive roots: the roots with no negative coefficient."""
-    positives = tuple(r for r in reflection_closure(GRAM4) if min(r) >= 0)
-    if len(positives) != 24:
-        raise ArithmeticError(f"expected 24 positive roots, found {len(positives)}")
-    return positives  # type: ignore[return-value]
-
-
-@lru_cache(maxsize=None)
 def _coroot_forms() -> Tuple[Tuple[Tuple[int, int, int], ...], int]:
     """Integer forms of the Weyl formula, and its denominator.
 
-    For a positive root alpha = sum a_i alpha_i, the coroot
-    alpha^vee = 2 alpha/(alpha, alpha) is sum c_i alpha_i^vee with
-    c_i = a_i (alpha_i, alpha_i)/(alpha, alpha), so a weight with Dynkin
-    labels (m_1, ..., m_4) pairs with it to sum c_i m_i (Humphreys,
-    *Introduction to Lie Algebras and Representation Theory*, 24.3).  The
-    weight k*w3 + l*w4 + rho has labels (1, 1, k+1, l+1), so its pairing is
-    c_3*k + c_4*l + (c_1 + c_2 + c_3 + c_4), stored as the triple
-    (c_3, c_4, sum c_i).  The denominator is the product of the 24 sums, the
-    pairings of rho alone.
+    The positive coroots are the positive roots of the transposed Cartan
+    matrix, in the basis of simple coroots: alpha^vee = sum c_i alpha_i^vee.
+    A weight with Dynkin labels (m_1, ..., m_4) pairs with it to
+    sum c_i m_i (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, 24.3).  The weight k*w3 + l*w4 + rho has labels
+    (1, 1, k+1, l+1), so its pairing is c_3*k + c_4*l + (c_1 + c_2 + c_3 + c_4),
+    stored as the triple (c_3, c_4, sum c_i).  The denominator is the product
+    of the 24 sums, the pairings of rho alone.
     """
-    forms = []
-    for root in positive_roots():
-        length = norm(root)
-        coeffs = [divmod(a * GRAM4[i][i], length) for i, a in enumerate(root)]
-        if any(remainder for _, remainder in coeffs):
-            raise ArithmeticError(f"non-integral coroot at root {root}")
-        c1, c2, c3, c4 = (c for c, _ in coeffs)
-        forms.append((c3, c4, c1 + c2 + c3 + c4))
-    return tuple(forms), math.prod(c for _, _, c in forms)
+    coroots = [c for c in reflection_closure(tuple(zip(*CARTAN4))) if min(c) >= 0]
+    if len(coroots) != 24:
+        raise ArithmeticError(f"expected 24 positive coroots, found {len(coroots)}")
+    forms = tuple((c3, c4, c1 + c2 + c3 + c4) for c1, c2, c3, c4 in coroots)
+    return forms, math.prod(c for _, _, c in forms)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -136,10 +136,7 @@ def transcribed_operator(label: representation.OperatorLabel) -> Derivation:
     algebra.check_f4_label(label)
     if label[0] == "h":
         return Derivation.from_terms((r, r, c) for r, c in CARTAN_TERMS[label[1] - 1])
-    root = tuple(label[1])
-    if root not in RAISING_TERMS:
-        raise ValueError(f"{root} is not a positive root of the folded system")
-    raising = Derivation.from_terms(RAISING_TERMS[root])
+    raising = Derivation.from_terms(RAISING_TERMS[label[1]])
     return raising if label[2] == 1 else poly.dual_op(raising)
 
 

@@ -16,6 +16,8 @@ from typing import Iterator, Tuple
 
 Vector = Tuple[int, int, int, int, int, int]
 
+# Gram matrix of the simple roots, each of norm 2.  E6 is simply laced, so
+# this is also its Cartan matrix, the form ``reflection_closure`` takes.
 GRAM: tuple[Vector, ...] = (
     (2, 0, -1, 0, 0, 0),
     (0, 2, 0, -1, 0, 0),
@@ -111,7 +113,8 @@ def positive_roots() -> tuple[Vector, ...]:
 
 def roots_by_reflection_closure() -> tuple[Vector, ...]:
     """The roots again, closed from the simple roots under the simple
-    reflections: the independent cross-check of the box scan in all_roots."""
+    reflections of the Cartan matrix GRAM: the independent cross-check of the
+    box scan in all_roots."""
     # Imported here, so that commands that only read the roots do not compile dimensions.
     from .dimensions import reflection_closure
 

@@ -5,9 +5,10 @@ is checked against, the plain monomial enumeration and the per-monomial
 weight walk that ``poly.monomials_of_degree`` and
 ``poly.degree_weight_table`` are checked against, the plain box scan and the
 triple-by-triple Jacobi sweep that ``lattice.all_roots`` and
-``algebra.jacobi_failures`` are checked against, the dense operator matrix
-that products of operators are checked with, small functions only the tests
-use, and pools of small integers for hypothesis to sample."""
+``algebra.jacobi_failures`` are checked against, the F4 metric and its
+positive roots that ``dimensions`` is checked against, the dense operator
+matrix that products of operators are checked with, small functions only the
+tests use, and pools of small integers for hypothesis to sample."""
 
 import math
 from collections import Counter
@@ -138,9 +139,31 @@ def reference_block_rows(monomials):
     return list(rows.values())
 
 
+# The F4 metric in the integral normalization, short roots of norm 2 and long
+# roots of norm 4: the independent reference for ``dimensions``, which needs
+# only the Cartan matrix.
+GRAM4 = ((4, -2, 0, 0), (-2, 4, -2, 0), (0, -2, 2, -1), (0, 0, -1, 2))
+
+
+def inner(u, v):
+    """The reference bilinear form in F4's simple-root coordinates."""
+    return sum(a * g * b for a, row in zip(u, GRAM4) for g, b in zip(row, v))
+
+
+def norm(root):
+    return inner(root, root)
+
+
+def f4_positive_roots():
+    """The 24 positive F4 roots by a plain scan of the box below the highest
+    root (2, 3, 4, 2): the points of norm 2 or 4, sorted.  In this lattice a
+    vector of either norm is a root."""
+    return tuple(v for v in product(*(range(b + 1) for b in (2, 3, 4, 2))) if norm(v) in (2, 4))
+
+
 def long_and_short_counts():
     """Long (norm 4) and short (norm 2) positive F4 roots."""
-    norms = [dimensions.norm(r) for r in dimensions.positive_roots()]
+    norms = [norm(r) for r in f4_positive_roots()]
     return norms.count(4), norms.count(2)
 
 

@@ -1,8 +1,9 @@
-"""Tests for the F4 metric data, dimension formulas, and series identities."""
+"""Tests for the F4 Cartan data, dimension formulas, and series identities."""
 
 from __future__ import annotations
 
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,97 +11,139 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f4poly import algebra, dimensions as dim
-from helpers import branching_matches_monomial_count, long_and_short_counts, printed_constant_ratio
+from helpers import (
+    GRAM4,
+    branching_matches_monomial_count,
+    f4_positive_roots,
+    inner,
+    long_and_short_counts,
+    norm,
+    printed_constant_ratio,
+)
 
 
 SIMPLES = [tuple(1 if j == i else 0 for j in range(4)) for i in range(4)]
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
-# Test references, independent of the package's integer Weyl forms: the four
-# fundamental weights in simple-root coordinates (checked by the normalization
-# test), and rho as half the sum of the positive roots.
+# Test references, independent of the package's integer Weyl forms and read
+# through the reference metric: the four fundamental weights in simple-root
+# coordinates (checked by the normalization test), and rho as half the sum of
+# the positive roots.
 FUNDAMENTAL_WEIGHTS = ((2, 3, 4, 2), (3, 6, 8, 4), (2, 4, 6, 3), (1, 2, 3, 2))
-RHO = tuple(Fraction(sum(column), 2) for column in zip(*dim.positive_roots()))
+RHO = tuple(Fraction(sum(column), 2) for column in zip(*f4_positive_roots()))
 
 
 def fraction_weyl_dim(weight):
     """Weyl product over the positive roots in Fractions: the test reference."""
     shifted = tuple(weight[j] + RHO[j] for j in range(4))
     value = Fraction(1)
-    for root in dim.positive_roots():
-        value *= dim.inner(shifted, root) / dim.inner(RHO, root)
+    for root in f4_positive_roots():
+        value *= inner(shifted, root) / inner(RHO, root)
     return value
 
 
+def transpose(matrix):
+    return tuple(zip(*matrix))
+
+
+def positives(roots):
+    return tuple(r for r in roots if min(r) >= 0)
+
+
 def test_gram_matrix_shape():
-    assert [dim.GRAM4[i][i] for i in range(4)] == [4, 4, 2, 2]
-    assert dim.GRAM4[0][1] == -2
-    assert dim.GRAM4[1][2] == -2
-    assert dim.GRAM4[2][3] == -1
-    assert dim.GRAM4[0][2] == 0 and dim.GRAM4[0][3] == 0 and dim.GRAM4[1][3] == 0
+    assert [GRAM4[i][i] for i in range(4)] == [4, 4, 2, 2]
+    assert GRAM4[0][1] == -2
+    assert GRAM4[1][2] == -2
+    assert GRAM4[2][3] == -1
+    assert GRAM4[0][2] == 0 and GRAM4[0][3] == 0 and GRAM4[1][3] == 0
     for i in range(4):
         for j in range(4):
-            assert dim.GRAM4[i][j] == dim.GRAM4[j][i]
+            assert GRAM4[i][j] == GRAM4[j][i]
+
+
+def test_cartan_matrix_is_the_rescaled_reference_gram():
+    for i in range(4):
+        for j in range(4):
+            assert dim.CARTAN4[i][j] == Fraction(2 * GRAM4[i][j], GRAM4[i][i])
 
 
 def test_positive_roots_count_and_norms():
-    roots = dim.positive_roots()
+    roots = f4_positive_roots()
     assert len(roots) == 24
     assert long_and_short_counts() == (12, 12)
-    for root in roots:
-        assert dim.norm(root) in (2, 4)
+    assert positives(dim.reflection_closure(dim.CARTAN4)) == roots
 
 
 @pytest.mark.parametrize(
-    "gram, count",
+    "cartan, count",
     [
         (((2, -1), (-1, 2)), 6),
-        (((2, -2), (-2, 4)), 8),
-        (((2, -3), (-3, 6)), 12),
-        (dim.GRAM4, 48),
+        (((2, -2), (-1, 2)), 8),
+        (((2, -3), (-1, 2)), 12),
+        (dim.CARTAN4, 48),
     ],
     ids=["A2", "B2", "G2", "F4"],
 )
-def test_reflection_closure_counts_the_roots(gram, count):
-    roots = dim.reflection_closure(gram)
-    assert len(roots) == len(set(roots)) == count
-    assert list(roots) == sorted(roots)
-    assert all(tuple(-c for c in root) in roots for root in roots)
-
-
-def test_reflection_closure_refuses_a_non_integral_reflection():
-    # 2(alpha_1, alpha_2)/(alpha_2, alpha_2) = -2/3: no crystallographic root system
-    with pytest.raises(ArithmeticError):
-        dim.reflection_closure(((2, -1), (-1, 3)))
+def test_reflection_closure_counts_the_roots(cartan, count):
+    """Each system and its dual, the roots of the transposed matrix (C2 for
+    B2), which for these four is the same system with its nodes reversed."""
+    roots = dim.reflection_closure(cartan)
+    dual = dim.reflection_closure(transpose(cartan))
+    for system in (roots, dual):
+        assert len(system) == len(set(system)) == count
+        assert list(system) == sorted(system)
+        assert all(tuple(-c for c in root) in system for root in system)
+    assert set(dual) == {root[::-1] for root in roots}
 
 
 def test_reflection_closure_refuses_an_infinite_system():
-    # affine A1: the two reflections generate an infinite group
-    with pytest.raises(ArithmeticError, match="not of finite type"):
-        dim.reflection_closure(((2, -2), (-2, 2)))
+    # affine A1: the two reflections generate an infinite group.  The alarm
+    # turns a closure that never stops into a failure instead of a hang.
+    def stop(signum, frame):
+        raise TimeoutError("the closure of an infinite system did not stop")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with pytest.raises(ArithmeticError, match="not of finite type"):
+            dim.reflection_closure(((2, -2), (-2, 2)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_positive_roots_match_folded_algebra():
-    assert set(dim.positive_roots()) == set(algebra.F4_POSITIVE)
+    assert set(f4_positive_roots()) == set(algebra.F4_POSITIVE)
+
+
+def test_positive_coroots_are_the_rescaled_roots():
+    """The positive roots of the transposed Cartan matrix, sum c_i alpha_i^vee
+    with alpha_i^vee = 2 alpha_i/(alpha_i, alpha_i), are the coroots
+    2 alpha/(alpha, alpha) of the positive roots, read through the reference."""
+    coroots = positives(dim.reflection_closure(transpose(dim.CARTAN4)))
+    in_root_basis = {tuple(Fraction(2 * c, GRAM4[i][i]) for i, c in enumerate(v)) for v in coroots}
+    rescaled = {tuple(Fraction(2 * a, norm(root)) for a in root) for root in f4_positive_roots()}
+    assert len(coroots) == 24
+    assert in_root_basis == rescaled
 
 
 def test_fundamental_weight_normalization():
     weights = FUNDAMENTAL_WEIGHTS
     for i in range(4):
         for k in range(4):
-            pairing = Fraction(2 * dim.inner(weights[i], SIMPLES[k]), dim.GRAM4[k][k])
+            pairing = Fraction(2 * inner(weights[i], SIMPLES[k]), GRAM4[k][k])
             assert pairing == (1 if i == k else 0)
     # metric values: 2 on the long simples, 1 on the short ones
-    values = [dim.inner(weights[i], SIMPLES[i]) for i in range(4)]
+    values = [inner(weights[i], SIMPLES[i]) for i in range(4)]
     assert values == [2, 2, 1, 1]
     # the cross pairings some sources misstate are actually zero
-    assert dim.inner(weights[0], SIMPLES[2]) == 0
-    assert dim.inner(weights[1], SIMPLES[3]) == 0
+    assert inner(weights[0], SIMPLES[2]) == 0
+    assert inner(weights[1], SIMPLES[3]) == 0
 
 
 def test_weyl_vector_pairs_to_one():
     for i in range(4):
-        assert 2 * dim.inner(RHO, SIMPLES[i]) / dim.GRAM4[i][i] == 1
+        assert 2 * inner(RHO, SIMPLES[i]) / GRAM4[i][i] == 1
     assert RHO == tuple(sum(column) for column in zip(*FUNDAMENTAL_WEIGHTS))
 
 
@@ -150,18 +193,14 @@ def test_coroot_forms_are_the_coroot_pairings():
     assert len(forms) == 24
     assert all(c >= 1 for _, _, c in forms)
     vectors = (FUNDAMENTAL_WEIGHTS[2], FUNDAMENTAL_WEIGHTS[3], RHO)
-    for root, form in zip(dim.positive_roots(), forms):
-        assert form == tuple(Fraction(2 * dim.inner(v, root), dim.norm(root)) for v in vectors)
+    pairings = [
+        tuple(Fraction(2 * inner(v, root), norm(root)) for v in vectors) for root in f4_positive_roots()
+    ]
+    assert sorted(forms) == sorted(pairings)
     assert denominator == math.prod(c for _, _, c in forms)
 
 
 def test_inexact_weyl_data_raises(monkeypatch):
-    dim._coroot_forms.cache_clear()
-    # a bogus root of norm 6: its coroot has coefficient 2/3 on alpha_1^vee
-    assert dim.norm((1, 0, 1, 0)) == 6
-    monkeypatch.setattr(dim, "positive_roots", lambda: ((1, 0, 1, 0),))
-    with pytest.raises(ArithmeticError):
-        dim._coroot_forms()
     monkeypatch.setattr(dim, "_coroot_forms", lambda: (((1, 0, 1),), 2))
     assert dim.weyl_dim.__wrapped__(1, 0) == 1
     with pytest.raises(ArithmeticError):

@@ -212,19 +212,29 @@ def test_zeta_seed_and_recursion():
         ((), ValueError),
         (("x", 1), ValueError),
         (["h", 1], TypeError),
+        (("e", (1.0, 0, 0, 0), 1), TypeError),
+        (("e", (True, 0, 0, 0), 1), TypeError),
+        (("e", [0, 1, 0, 0], 1), TypeError),
+        (("e", (2, 0, 0, 0), 1), ValueError),
+        (("e", (0, 1, 0), 1), ValueError),
+        (("e", (0, 0, 0, 0), -1), ValueError),
     ],
-    ids=["True", "1.0", "-1.0", "sign 2", "no sign", "no index", "extra entry", "empty", "kind x", "list"],
+    ids=[
+        "True", "1.0", "-1.0", "sign 2", "no sign", "no index", "extra entry", "empty", "kind x", "list",
+        "root 1.0", "root True", "root list", "root not a root", "root of rank 3", "root zero",
+    ],
 )
 def test_operator_labels_are_checked(label, error):
-    """A generator label is checked for shape and its sign for type, in one
-    place that the construction and the transcription both call."""
+    """A generator label is checked for shape, its root for type and
+    membership and its sign for type, in one place that the construction and
+    the transcription both call."""
     with pytest.raises(error):
         algebra.f4_generator(label)
     with pytest.raises(error):
         errata.transcribed_operator(label)
     if label[:1] == ("e",) and len(label) == 3:
         with pytest.raises(error):
-            algebra.f4_root_vector(A2, label[2])
+            algebra.f4_root_vector(label[1], label[2])
 
 
 @pytest.mark.parametrize("index", [1.5, 2.0, 20.0, True])
